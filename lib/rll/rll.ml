@@ -38,7 +38,7 @@ let header_size = 7
 
 type sender_state = {
   mutable next_seq : int;
-  mutable unacked : (int * Vw_net.Eth.t) list; (* ascending seq; |..| <= window *)
+  unacked : (int * Vw_net.Eth.t) Queue.t; (* ascending seq; |..| <= window *)
   pending : Vw_net.Eth.t Queue.t; (* waiting for window space *)
   mutable retries : int;
   mutable timer : Vw_stack.Host.timer option;
@@ -63,7 +63,7 @@ type t = {
 let stats t = t.stats
 
 let in_flight t =
-  Hashtbl.fold (fun _ s acc -> acc + List.length s.unacked) t.senders 0
+  Hashtbl.fold (fun _ s acc -> acc + Queue.length s.unacked) t.senders 0
 
 let sender_for t peer =
   match Hashtbl.find_opt t.senders peer with
@@ -72,7 +72,7 @@ let sender_for t peer =
       let s =
         {
           next_seq = 0;
-          unacked = [];
+          unacked = Queue.create ();
           pending = Queue.create ();
           retries = 0;
           timer = None;
@@ -120,7 +120,7 @@ let rec arm_timer t peer s =
   (match s.timer with
   | Some timer -> Vw_stack.Host.cancel_timer t.host timer
   | None -> ());
-  if s.unacked = [] then s.timer <- None
+  if Queue.is_empty s.unacked then s.timer <- None
   else
     s.timer <-
       Some
@@ -128,9 +128,9 @@ let rec arm_timer t peer s =
            (fun () -> on_timeout t peer s))
 
 and on_timeout t peer s =
-  match s.unacked with
-  | [] -> s.timer <- None
-  | (base_seq, _) :: _ ->
+  match Queue.peek_opt s.unacked with
+  | None -> s.timer <- None
+  | Some (base_seq, base_frame) ->
       s.retries <- s.retries + 1;
       if s.retries > t.config.max_retries then begin
         (* Peer presumed dead for this frame: abandon the window base so the
@@ -140,7 +140,7 @@ and on_timeout t peer s =
             m "%s: RLL abandoning seq %d to %s"
               (Vw_stack.Host.name t.host)
               base_seq (Vw_net.Mac.to_string peer));
-        (match s.unacked with [] -> () | _ :: rest -> s.unacked <- rest);
+        ignore (Queue.pop s.unacked);
         s.retries <- 0;
         refill_window t peer s;
         arm_timer t peer s
@@ -152,28 +152,26 @@ and on_timeout t peer s =
            melts down once queueing delay approaches the timeout (see
            bench/main.exe ablation). *)
         (if t.config.go_back_n then
-           List.iter
+           Queue.iter
              (fun (seq, frame) ->
                t.stats.retransmissions <- t.stats.retransmissions + 1;
                transmit_below t (encapsulate ~seq frame))
              s.unacked
-         else
-           match s.unacked with
-           | (seq, frame) :: _ ->
-               t.stats.retransmissions <- t.stats.retransmissions + 1;
-               transmit_below t (encapsulate ~seq frame)
-           | [] -> ());
+         else begin
+           t.stats.retransmissions <- t.stats.retransmissions + 1;
+           transmit_below t (encapsulate ~seq:base_seq base_frame)
+         end);
         arm_timer t peer s
       end
 
 and refill_window t peer s =
   while
-    List.length s.unacked < t.config.window && not (Queue.is_empty s.pending)
+    Queue.length s.unacked < t.config.window && not (Queue.is_empty s.pending)
   do
     let frame = Queue.pop s.pending in
     let seq = s.next_seq in
     s.next_seq <- s.next_seq + 1;
-    s.unacked <- s.unacked @ [ (seq, frame) ];
+    Queue.add (seq, frame) s.unacked;
     t.stats.data_sent <- t.stats.data_sent + 1;
     transmit_below t (encapsulate ~seq frame)
   done;
@@ -181,9 +179,17 @@ and refill_window t peer s =
 
 let on_ack t peer next_expected =
   let s = sender_for t peer in
-  let before = List.length s.unacked in
-  s.unacked <- List.filter (fun (seq, _) -> seq >= next_expected) s.unacked;
-  if List.length s.unacked < before then begin
+  (* [unacked] is in sequence order: the cumulative ack frees a prefix. *)
+  let freed = ref false in
+  while
+    match Queue.peek_opt s.unacked with
+    | Some (seq, _) -> seq < next_expected
+    | None -> false
+  do
+    ignore (Queue.pop s.unacked);
+    freed := true
+  done;
+  if !freed then begin
     s.retries <- 0;
     s.dup_acks <- 0;
     refill_window t peer s;
@@ -193,8 +199,8 @@ let on_ack t peer next_expected =
     (* A duplicate cumulative ack: the receiver is getting frames beyond a
        hole. Three in a row mean the base is lost — repair it now instead
        of stalling a full retransmission timeout. *)
-    match s.unacked with
-    | (seq, frame) :: _ ->
+    match Queue.peek_opt s.unacked with
+    | Some (seq, frame) ->
         s.dup_acks <- s.dup_acks + 1;
         if s.dup_acks = 3 then begin
           s.dup_acks <- 0;
@@ -202,7 +208,7 @@ let on_ack t peer next_expected =
           transmit_below t (encapsulate ~seq frame);
           arm_timer t peer s
         end
-    | [] -> ()
+    | None -> ()
   end
 
 let rec deliver_in_order t r peer =
@@ -232,10 +238,10 @@ let egress_handler t (frame : Vw_net.Eth.t) =
     Vw_stack.Hook.Accept frame
   else begin
     let s = sender_for t frame.dst in
-    if List.length s.unacked < t.config.window then begin
+    if Queue.length s.unacked < t.config.window then begin
       let seq = s.next_seq in
       s.next_seq <- s.next_seq + 1;
-      s.unacked <- s.unacked @ [ (seq, frame) ];
+      Queue.add (seq, frame) s.unacked;
       t.stats.data_sent <- t.stats.data_sent + 1;
       transmit_below t (encapsulate ~seq frame);
       if s.timer = None then arm_timer t frame.dst s

@@ -1,4 +1,4 @@
-type handle = Event_queue.handle
+type handle = (unit -> unit) Event_queue.handle
 
 type t = {
   queue : (unit -> unit) Event_queue.t;

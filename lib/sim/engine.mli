@@ -28,6 +28,9 @@ val schedule_after : t -> delay:Simtime.t -> (unit -> unit) -> handle
 (** Schedule relative to [now]. Negative delays are clamped to zero. *)
 
 val cancel : t -> handle -> unit
+(** Removes the callback from the queue: it never runs, and it is no longer
+    counted by {!pending}, stepped by {!step} or charged to [run]'s
+    [max_events]. Cancelling a fired or cancelled callback is a no-op. *)
 
 val run : ?until:Simtime.t -> ?max_events:int -> t -> unit
 (** [run t] processes events until the queue is empty, [until] is reached

@@ -1,108 +1,95 @@
-(* Binary min-heap ordered by (time, sequence number). Cancellation marks the
-   entry dead; dead entries are skipped lazily at pop time. *)
+(* Binary min-heap ordered by (time, sequence number). Every entry records
+   its heap slot, so cancellation removes it in O(log n) instead of leaving
+   a dead entry behind. *)
 
 type 'a entry = {
   time : Simtime.t;
   seq : int;
   payload : 'a;
-  mutable live : bool;
+  mutable slot : int; (* index in [heap], or -1 once popped or cancelled *)
 }
 
-type handle = H : 'a entry -> handle
+type 'a handle = 'a entry
 
 type 'a t = {
   mutable heap : 'a entry array;
   mutable size : int;
   mutable next_seq : int;
-  mutable live_count : int;
 }
 
-let create () = { heap = [||]; size = 0; next_seq = 0; live_count = 0 }
-let is_empty t = t.live_count = 0
-let length t = t.live_count
+let create () = { heap = [||]; size = 0; next_seq = 0 }
+let is_empty t = t.size = 0
+let length t = t.size
 
 let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
-let grow t =
-  let cap = max 16 (2 * Array.length t.heap) in
-  if t.size > 0 then begin
-    let heap = Array.make cap t.heap.(0) in
-    Array.blit t.heap 0 heap 0 t.size;
-    t.heap <- heap
-  end
+let place t i e =
+  t.heap.(i) <- e;
+  e.slot <- i
 
-let swap t i j =
-  let tmp = t.heap.(i) in
-  t.heap.(i) <- t.heap.(j);
-  t.heap.(j) <- tmp
-
-let rec sift_up t i =
+(* Move [e] from the hole at [i] towards the root until its parent is
+   earlier. *)
+let rec sift_up t i e =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    if before t.heap.(i) t.heap.(parent) then begin
-      swap t i parent;
-      sift_up t parent
+    let p = t.heap.(parent) in
+    if before e p then begin
+      place t i p;
+      sift_up t parent e
     end
+    else place t i e
   end
+  else place t i e
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && before t.heap.(l) t.heap.(!smallest) then smallest := l;
-  if r < t.size && before t.heap.(r) t.heap.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
+let rec sift_down t i e =
+  let l = (2 * i) + 1 in
+  if l >= t.size then place t i e
+  else begin
+    let r = l + 1 in
+    let c = if r < t.size && before t.heap.(r) t.heap.(l) then r else l in
+    let child = t.heap.(c) in
+    if before child e then begin
+      place t i child;
+      sift_down t c e
+    end
+    else place t i e
   end
 
 let push t ~time payload =
-  let entry = { time; seq = t.next_seq; payload; live = true } in
+  let entry = { time; seq = t.next_seq; payload; slot = -1 } in
   t.next_seq <- t.next_seq + 1;
-  if t.size = Array.length t.heap then
-    if t.size = 0 then t.heap <- Array.make 16 entry else grow t;
-  t.heap.(t.size) <- entry;
+  if t.size = Array.length t.heap then begin
+    let heap = Array.make (max 16 (2 * t.size)) entry in
+    Array.blit t.heap 0 heap 0 t.size;
+    t.heap <- heap
+  end;
   t.size <- t.size + 1;
-  t.live_count <- t.live_count + 1;
-  sift_up t (t.size - 1);
-  H entry
+  sift_up t (t.size - 1) entry;
+  entry
 
-let cancel t (H entry) =
-  (* The handle's entry may belong to another queue of the same payload
-     type; [live] is per-entry so this is still safe — cancellation only
-     marks, removal happens where the entry is stored. *)
-  if entry.live then begin
-    entry.live <- false;
-    (* The live count belongs to the queue holding the entry; since handles
-       are only meaningful for the queue that created them, decrement here. *)
-    t.live_count <- t.live_count - 1
-  end
+(* Take the entry at slot [i] out of the heap: the last entry fills the
+   hole and moves whichever way restores the order. *)
+let remove_at t i =
+  let removed = t.heap.(i) in
+  removed.slot <- -1;
+  t.size <- t.size - 1;
+  if i < t.size then begin
+    let last = t.heap.(t.size) in
+    if i > 0 && before last t.heap.((i - 1) / 2) then sift_up t i last
+    else sift_down t i last
+  end;
+  removed
 
-let rec pop t =
+let cancel t entry =
+  (* The slot check makes cancelling a fired, cancelled or foreign entry a
+     no-op. *)
+  let i = entry.slot in
+  if i >= 0 && i < t.size && t.heap.(i) == entry then ignore (remove_at t i)
+
+let pop t =
   if t.size = 0 then None
-  else begin
-    let top = t.heap.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.heap.(0) <- t.heap.(t.size);
-      sift_down t 0
-    end;
-    if top.live then begin
-      top.live <- false;
-      t.live_count <- t.live_count - 1;
-      Some (top.time, top.payload)
-    end
-    else pop t
-  end
+  else
+    let top = remove_at t 0 in
+    Some (top.time, top.payload)
 
-let rec peek_time t =
-  if t.size = 0 then None
-  else if t.heap.(0).live then Some t.heap.(0).time
-  else begin
-    (* Drop the dead top and retry. *)
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.heap.(0) <- t.heap.(t.size);
-      sift_down t 0
-    end;
-    peek_time t
-  end
+let peek_time t = if t.size = 0 then None else Some t.heap.(0).time

@@ -7,19 +7,21 @@
 
 type 'a t
 
-type handle
+type 'a handle
 (** Identifies a scheduled event for cancellation. *)
 
 val create : unit -> 'a t
 val is_empty : 'a t -> bool
 val length : 'a t -> int
-(** Number of live (non-cancelled) events. *)
+(** Number of queued events. Cancelled events are gone, not counted. *)
 
-val push : 'a t -> time:Simtime.t -> 'a -> handle
-val cancel : 'a t -> handle -> unit
-(** Cancelling an already-fired or already-cancelled event is a no-op. *)
+val push : 'a t -> time:Simtime.t -> 'a -> 'a handle
+val cancel : 'a t -> 'a handle -> unit
+(** Removes the event from the queue in O(log n). Cancelling an
+    already-fired or already-cancelled event, or one queued elsewhere, is a
+    no-op. *)
 
 val pop : 'a t -> (Simtime.t * 'a) option
-(** Removes and returns the earliest live event. *)
+(** Removes and returns the earliest event. *)
 
 val peek_time : 'a t -> Simtime.t option

@@ -11,7 +11,7 @@ type hook_entry = {
 }
 
 type hook_id = int
-type timer = { mutable cancelled : bool }
+type timer = Vw_sim.Engine.handle
 
 type t = {
   engine : Vw_sim.Engine.t;
@@ -109,19 +109,17 @@ let reinject t point ~from_priority frame =
 
 let receive t data =
   if not t.failed then begin
-    match Vw_net.Frame_view.of_bytes data with
-    | None -> () (* runt frame *)
-    | Some view ->
-        let frame = view.eth in
-        (* NICs filter on destination MAC unless it is ours or broadcast. *)
-        if
-          Vw_net.Mac.equal frame.dst t.mac
-          || Vw_net.Mac.is_broadcast frame.dst
-        then begin
-          (match t.tap with Some tap -> tap ~dir:`In frame | None -> ());
-          t.frames_received <- t.frames_received + 1;
-          run_chain (chain t Hook.Ingress) (ingress_sink t) frame
-        end
+    (* A frame shorter than an Ethernet header is a runt and is dropped. *)
+    if Bytes.length data >= Vw_net.Eth.header_size then begin
+      let frame = Vw_net.Eth.of_bytes data in
+      (* NICs filter on destination MAC unless it is ours or broadcast. *)
+      if Vw_net.Mac.equal frame.dst t.mac || Vw_net.Mac.is_broadcast frame.dst
+      then begin
+        (match t.tap with Some tap -> tap ~dir:`In frame | None -> ());
+        t.frames_received <- t.frames_received + 1;
+        run_chain (chain t Hook.Ingress) (ingress_sink t) frame
+      end
+    end
   end
 
 let attach t nic =
@@ -261,7 +259,6 @@ let udp_send t ~src_port ~dst ~dst_port payload =
 (* --- Timers --- *)
 
 let set_timer t ?(granularity = `Jiffy) ~delay fn =
-  let timer = { cancelled = false } in
   let now = Vw_sim.Engine.now t.engine in
   let expiry = Vw_sim.Simtime.(now + max 0 delay) in
   let expiry =
@@ -272,12 +269,10 @@ let set_timer t ?(granularity = `Jiffy) ~delay fn =
         let j = Vw_sim.Simtime.jiffy in
         (expiry + j - 1) / j * j
   in
-  ignore
-    (Vw_sim.Engine.schedule_at t.engine ~time:expiry (fun () ->
-         if (not timer.cancelled) && not t.failed then fn ()));
-  timer
+  Vw_sim.Engine.schedule_at t.engine ~time:expiry (fun () ->
+      if not t.failed then fn ())
 
-let cancel_timer _t timer = timer.cancelled <- true
+let cancel_timer t timer = Vw_sim.Engine.cancel t.engine timer
 
 (* --- Failure --- *)
 

@@ -114,6 +114,8 @@ val set_timer :
   (unit -> unit) -> timer
 
 val cancel_timer : t -> timer -> unit
+(** Removes the timer's event from the engine, so a cancelled timer costs
+    no scheduler step. Cancelling a fired or cancelled timer is a no-op. *)
 
 (** {1 Failure injection} *)
 

@@ -83,7 +83,7 @@ type t = {
   mutable rwnd : int; (* peer's advertised window *)
   out_buf : Buffer.t;
   mutable out_off : int; (* bytes of out_buf already segmentized *)
-  mutable rtx_queue : (int * bytes) list; (* (seq, payload), ascending *)
+  rtx_queue : (int * bytes) Queue.t; (* (seq, payload), ascending *)
   mutable fin_pending : bool;
   mutable fin_seq : int option; (* seq consumed by our FIN once sent *)
   (* receive side *)
@@ -244,13 +244,13 @@ and retransmit_base t =
       t.stats.retransmits <- t.stats.retransmits + 1;
       emit t ~seq:t.iss ~flags:synack_flags ()
   | _ -> (
-      match t.rtx_queue with
-      | (seq, payload) :: _ ->
+      match Queue.peek_opt t.rtx_queue with
+      | Some (seq, payload) ->
           t.stats.retransmits <- t.stats.retransmits + 1;
           emit t ~payload ~seq
             ~flags:{ ack_flags with psh = Bytes.length payload > 0 }
             ()
-      | [] -> (
+      | None -> (
           (* Only the FIN can be outstanding. *)
           match t.fin_seq with
           | Some seq when t.snd_una <= seq ->
@@ -284,11 +284,16 @@ let rec try_send t =
         if avail > 0 && room > 0 then begin
           let len = min t.conn_config.mss (min avail room) in
           let payload = Bytes.create len in
-          Bytes.blit_string (Buffer.contents t.out_buf) t.out_off payload 0 len;
+          Buffer.blit t.out_buf t.out_off payload 0 len;
           t.out_off <- t.out_off + len;
+          if t.out_off = Buffer.length t.out_buf then begin
+            (* Drained: give back the storage of bytes already sent. *)
+            Buffer.reset t.out_buf;
+            t.out_off <- 0
+          end;
           let seq = t.snd_nxt in
           t.snd_nxt <- t.snd_nxt + len;
-          t.rtx_queue <- t.rtx_queue @ [ (seq, payload) ];
+          Queue.add (seq, payload) t.rtx_queue;
           t.stats.segments_sent <- t.stats.segments_sent + 1;
           if t.timing = None then t.timing <- Some (seq + len, now t);
           emit t ~payload ~seq ~flags:{ ack_flags with psh = true } ();
@@ -357,9 +362,14 @@ let process_new_ack t ack =
   t.stats.bytes_acked <- t.stats.bytes_acked + acked;
   t.dupacks <- 0;
   t.retries <- 0;
-  t.rtx_queue <-
-    List.filter (fun (seq, payload) -> seq + Bytes.length payload > ack)
-      t.rtx_queue;
+  (* Segments are queued in sequence order: drop the fully acked prefix. *)
+  while
+    match Queue.peek_opt t.rtx_queue with
+    | Some (seq, payload) -> seq + Bytes.length payload <= ack
+    | None -> false
+  do
+    ignore (Queue.pop t.rtx_queue)
+  done;
   (match t.timing with
   | Some (seq_end, sent_at) when ack >= seq_end ->
       rtt_sample t (Vw_sim.Simtime.to_sec Vw_sim.Simtime.(now t - sent_at));
@@ -374,11 +384,11 @@ let fast_retransmit t =
   set_cwnd t t.ssthresh;
   t.ca_acks <- 0;
   t.timing <- None;
-  (match t.rtx_queue with
-  | (seq, payload) :: _ ->
+  (match Queue.peek_opt t.rtx_queue with
+  | Some (seq, payload) ->
       t.stats.retransmits <- t.stats.retransmits + 1;
       emit t ~payload ~seq ~flags:{ ack_flags with psh = true } ()
-  | [] -> ());
+  | None -> ());
   restart_rto t
 
 let rec deliver_in_order t =
@@ -532,7 +542,7 @@ and make_conn stack conn_config ~local_port ~remote_ip ~remote_port ~conn_state
       rwnd = 65535;
       out_buf = Buffer.create 4096;
       out_off = 0;
-      rtx_queue = [];
+      rtx_queue = Queue.create ();
       fin_pending = false;
       fin_seq = None;
       rcv_nxt;

@@ -91,7 +91,10 @@ val connect :
 
 val send : t -> bytes -> unit
 (** Append bytes to the send buffer; they are segmentized and transmitted as
-    the congestion window allows. *)
+    the congestion window allows. The bytes are copied into the send buffer
+    once, and each segment then costs O(mss) however much data is queued.
+    Once every buffered byte has been segmentized the buffer's storage is
+    released, so a long-lived connection does not keep data it has sent. *)
 
 val close : t -> unit
 (** Half-close: FIN is queued after any buffered data. *)

@@ -187,8 +187,12 @@ let test_timer_cancel () =
   let fired = ref false in
   let timer = Host.set_timer a ~delay:(Simtime.ms 10) (fun () -> fired := true) in
   Host.cancel_timer a timer;
+  (* cancellation removes the event: nothing is left for the scheduler *)
+  check Alcotest.int "no pending event" 0 (Engine.pending engine);
   Engine.run engine;
-  check Alcotest.bool "cancelled" false !fired
+  check Alcotest.bool "cancelled" false !fired;
+  check Alcotest.bool "clock did not reach the cancelled expiry" true
+    (Engine.now engine < Simtime.ms 10)
 
 (* --- failure --- *)
 

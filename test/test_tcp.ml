@@ -220,6 +220,78 @@ let test_close_sequence () =
   | _ -> Alcotest.fail "expected one server connection");
   check Alcotest.bool "client fully closed" true !closed
 
+(* Many sends on one connection: some land while earlier bytes are still
+   queued, some after the send buffer has drained (and been reclaimed), and
+   one data segment is dropped so its bytes must be retransmitted from the
+   retransmission queue rather than the send buffer. *)
+let test_many_sends_one_connection () =
+  let w = world () in
+  let data, _ = sink w ~port:80 in
+  let dropped = ref false in
+  ignore
+    (Host.add_hook w.host_a Hook.Egress ~priority:50 ~name:"drop-one"
+       (fun frame ->
+         match (Vw_net.Frame_view.of_frame frame).content with
+         | Vw_net.Frame_view.Ip (_, Vw_net.Frame_view.Tcp_view seg)
+           when Bytes.length seg.payload > 0
+                && (not !dropped)
+                && seg.seq > 30_000 ->
+             dropped := true;
+             Hook.Drop
+         | _ -> Hook.Accept frame));
+  let conn = Tcp.connect w.stack_a ~src_port:5000 ~dst:(ip 2) ~dst_port:80 in
+  let expected = Buffer.create 100_000 in
+  let sends = 80 in
+  let rec send_chunk i =
+    if i < sends then begin
+      let len = 1 + (i * 373 mod 2_900) in
+      let chunk = Bytes.init len (fun k -> Char.chr ((i * 31 + k) land 0xff)) in
+      Buffer.add_bytes expected chunk;
+      Tcp.send conn chunk;
+      (* back-to-back, after a little ACK progress, or after a long idle *)
+      let delay = Simtime.ms (match i mod 3 with 0 -> 0 | 1 -> 1 | _ -> 50) in
+      ignore
+        (Engine.schedule_after w.engine ~delay (fun () -> send_chunk (i + 1)))
+    end
+  in
+  Tcp.on_established conn (fun () -> send_chunk 0);
+  Engine.run w.engine ~until:(Simtime.sec 60.0);
+  check Alcotest.bool "a segment was dropped" true !dropped;
+  check Alcotest.bool "it was retransmitted" true
+    ((Tcp.stats conn).Tcp.retransmits >= 1);
+  check Alcotest.int "all bytes delivered" (Buffer.length expected)
+    (Buffer.length data);
+  check Alcotest.string "byte-exact, in order" (Buffer.contents expected)
+    (Buffer.contents data)
+
+(* Allocation of a single-[send] transfer must grow linearly with its size:
+   a per-segment copy of the whole send buffer makes it quadratic (doubling
+   the size then quadruples the bytes allocated). *)
+let test_bulk_send_allocation_linear () =
+  let allocated size =
+    let w = world () in
+    let data, _ = sink w ~port:80 in
+    let payload = Bytes.make size 'x' in
+    (* the allocation counters are only brought up to date by a minor
+       collection, so force one on each side of the measurement *)
+    Gc.minor ();
+    let before = Gc.allocated_bytes () in
+    let conn =
+      Tcp.connect w.stack_a ~src_port:5000 ~dst:(ip 2) ~dst_port:80
+    in
+    Tcp.on_established conn (fun () -> Tcp.send conn payload);
+    Engine.run w.engine ~until:(Simtime.sec 60.0);
+    Gc.minor ();
+    let bytes = Gc.allocated_bytes () -. before in
+    check Alcotest.int "all bytes delivered" size (Buffer.length data);
+    bytes
+  in
+  let small = allocated (256 * 1024) and large = allocated (512 * 1024) in
+  let ratio = large /. small in
+  if ratio > 2.5 then
+    Alcotest.failf "2x the bytes allocated %.2fx the memory (%.0f vs %.0f)"
+      ratio large small
+
 let test_rst_on_unknown_port () =
   let w = world () in
   let conn = Tcp.connect w.stack_a ~src_port:5000 ~dst:(ip 2) ~dst_port:81 in
@@ -253,6 +325,10 @@ let suite =
         Alcotest.test_case "200KB over 5% loss" `Quick test_large_transfer_under_loss;
         Alcotest.test_case "close sequence" `Quick test_close_sequence;
         Alcotest.test_case "RST on unknown port" `Quick test_rst_on_unknown_port;
+        Alcotest.test_case "many sends on one connection" `Quick
+          test_many_sends_one_connection;
+        Alcotest.test_case "bulk send allocation is linear" `Quick
+          test_bulk_send_allocation_linear;
       ] );
     ( "tcp.congestion",
       [
