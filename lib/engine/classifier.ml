@@ -151,40 +151,57 @@ let tuple_matches_c (c : C.t) ti ~bindings (frame : Vw_net.Eth.t) =
 
 let filter_matches_c (c : C.t) fid ~bindings frame =
   let stop = c.C.f_start.(fid + 1) in
-  let rec go ti =
-    ti = stop || (tuple_matches_c c ti ~bindings frame && go (ti + 1))
-  in
-  go c.C.f_start.(fid)
+  let ti = ref c.C.f_start.(fid) in
+  while !ti < stop && tuple_matches_c c !ti ~bindings frame do
+    incr ti
+  done;
+  !ti = stop
 
-let classify_frame_c ?stats (c : C.t) ~bindings (frame : Vw_net.Eth.t) =
-  let key =
-    if c.C.ci_offset >= 0 && c.C.ci_offset + c.C.ci_len <= Vw_net.Eth.size frame
-    then Some (Vw_net.Eth.read_int_be frame ~pos:c.C.ci_offset ~len:c.C.ci_len)
-    else None
-  in
+(* The engine's per-packet entry point: the same index dispatch and
+   first-match-wins merge scan as [classify_frame], written as loops so
+   that a packet allocates nothing (no key or bucket option, no closure). *)
+let classify_fid (stats : scan_stats) (c : C.t) ~bindings (frame : Vw_net.Eth.t)
+    =
   let bucket =
-    match key with
-    | Some key -> (
-        match Hashtbl.find_opt c.C.ci_buckets key with
-        | Some fids ->
-            (match stats with
-            | Some s -> s.index_hits <- s.index_hits + 1
-            | None -> ());
-            fids
-        | None ->
-            (match stats with
-            | Some s -> s.index_misses <- s.index_misses + 1
-            | None -> ());
-            empty_bucket)
-    | None ->
-        (match stats with
-        | Some s -> s.index_misses <- s.index_misses + 1
-        | None -> ());
-        empty_bucket
+    if c.C.ci_offset >= 0 && c.C.ci_offset + c.C.ci_len <= Vw_net.Eth.size frame
+    then
+      match
+        Hashtbl.find c.C.ci_buckets
+          (Vw_net.Eth.read_int_be frame ~pos:c.C.ci_offset ~len:c.C.ci_len)
+      with
+      | fids ->
+          stats.index_hits <- stats.index_hits + 1;
+          fids
+      | exception Not_found ->
+          stats.index_misses <- stats.index_misses + 1;
+          empty_bucket
+    else begin
+      stats.index_misses <- stats.index_misses + 1;
+      empty_bucket
+    end
   in
-  merge_scan ~stats
-    ~test:(fun fid -> filter_matches_c c fid ~bindings frame)
-    bucket c.C.ci_fallback
+  let fallback = c.C.ci_fallback in
+  let nb = Array.length bucket and nf = Array.length fallback in
+  let bi = ref 0 and fi = ref 0 and found = ref (-1) in
+  while !found < 0 && (!bi < nb || !fi < nf) do
+    let fid =
+      if !bi < nb && (!fi >= nf || bucket.(!bi) < fallback.(!fi)) then begin
+        incr bi;
+        bucket.(!bi - 1)
+      end
+      else begin
+        incr fi;
+        fallback.(!fi - 1)
+      end
+    in
+    stats.filters_scanned <- stats.filters_scanned + 1;
+    if filter_matches_c c fid ~bindings frame then found := fid
+  done;
+  !found
+
+let classify_frame_c ?(stats = new_scan_stats ()) c ~bindings frame =
+  let fid = classify_fid stats c ~bindings frame in
+  if fid < 0 then None else Some fid
 
 (* Classify a whole batch in one pass, recording the per-frame match
    ([Arena.no_match] for none), scan count and index hit/miss so a caller
@@ -196,8 +213,7 @@ let classify_batch ?stats (c : C.t) ~bindings ~frames ~n ~fids ~scanned ~hits =
   for i = 0 to n - 1 do
     let scanned_before = ls.filters_scanned in
     let hits_before = ls.index_hits in
-    let r = classify_frame_c ~stats:ls c ~bindings frames.(i) in
-    fids.(i) <- (match r with Some fid -> fid | None -> -1);
+    fids.(i) <- classify_fid ls c ~bindings frames.(i);
     scanned.(i) <- ls.filters_scanned - scanned_before;
     Bytes.set hits i (if ls.index_hits > hits_before then '\001' else '\000')
   done;

@@ -74,8 +74,18 @@ val classify_frame_c :
 (** {!classify_frame} over the compiled SoA filter table: same index
     dispatch and first-match-wins merge scan, but tuples are flat int
     arrays over a shared byte pool — no list traversal, no per-tuple
-    variant dispatch. This is the engine's per-packet entry point;
-    property-tested equal to {!classify_frame} and {!classify_linear}. *)
+    variant dispatch. Property-tested equal to {!classify_frame} and
+    {!classify_linear}; {!classify_fid} without the option. *)
+
+val classify_fid :
+  scan_stats ->
+  Vw_fsl.Tables.Compiled.t ->
+  bindings:bytes option array ->
+  Vw_net.Eth.t ->
+  int
+(** The engine's per-packet entry point: {!classify_frame_c}'s first
+    matching fid, or −1 for none, counted into the given stats. Allocates
+    nothing. *)
 
 val classify_batch :
   ?stats:scan_stats ->

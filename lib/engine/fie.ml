@@ -95,8 +95,9 @@ type runtime = {
   ws_counters_next : Vw_util.Worklist.t;
   ws_terms : Vw_util.Worklist.t;
   ws_conds : Vw_util.Worklist.t;
+  ws_risen : Vw_util.Worklist.t; (* conditions that rose this round *)
   mutable started : bool;
-  mutable last_match : Vw_sim.Simtime.t option;
+  mutable last_match : Vw_sim.Simtime.t; (* -1 before the first match *)
 }
 
 let pindex = function Vw_stack.Hook.Ingress -> 0 | Vw_stack.Hook.Egress -> 1
@@ -203,7 +204,9 @@ let ctl_of_msg = function
   | Control.Report_error { nid; rule } -> Ev.C_report_error { nid; rule }
 
 let last_match_time t =
-  match t.rt with Some rt -> rt.last_match | None -> None
+  match t.rt with
+  | Some rt when rt.last_match >= 0 -> Some rt.last_match
+  | Some _ | None -> None
 
 let counter_lookup t name =
   match t.rt with
@@ -356,25 +359,26 @@ and execute_action t rt ~did ~aid ~changed =
 
 (* --- the cascade (Figure 3 / Figure 4b) ---
 
-   Seeds: counters whose values changed (locally or via control message)
-   and/or terms whose status was pushed from a remote evaluator. Each round
+   Seeds: counters whose values changed (locally or via control message),
+   which the caller has put in [rt.ws_counters], and/or the one term
+   [ext_term] (-1 for none) whose status a remote evaluator pushed. Each round
    re-evaluates affected local terms, then affected local conditions from a
    snapshot, fires rising edges, and feeds resulting counter changes into
    the next round. *)
 
-and cascade t rt ~changed_counters ~changed_terms =
+and cascade t rt ~ext_term =
   let module W = Vw_util.Worklist in
   let max_rounds = 100 in
+  let cp = rt.compiled in
   let round = ref 0 in
   let ctl_sent_before = t.stats.control_sent in
   (* double-buffered counter worklists: [cur] feeds this round, actions
      fired this round fill [next]; both are owned by the runtime and only
-     reset here, so a cascade allocates nothing per round *)
+     reset here, so a cascade allocates nothing per round. The worklists
+     are walked by index, so no closure (and no boxed ref) either. *)
   let cur = ref rt.ws_counters in
   let next = ref rt.ws_counters_next in
-  W.clear !cur;
-  List.iter (fun cid -> ignore (W.add !cur cid)) changed_counters;
-  let ext_terms = ref changed_terms in
+  let ext_term = ref ext_term in
   let continue = ref true in
   while !continue do
     incr round;
@@ -386,83 +390,76 @@ and cascade t rt ~changed_counters ~changed_terms =
       continue := false
     end
     else begin
-      let cp = rt.compiled in
+      let counters = !cur in
       (* 1. ship counter updates to remote term evaluators *)
-      W.iter
-        (fun cid ->
-          if cp.Tables.Compiled.c_owner.(cid) = rt.nid then
-            for k = cp.Tables.Compiled.cs_start.(cid)
-                to cp.Tables.Compiled.cs_start.(cid + 1) - 1 do
-              send_control t ~dst_nid:cp.Tables.Compiled.cs_subs.(k)
-                (Control.Counter_update
-                   { cid; value = rt.counter_values.(cid) })
-            done)
-        !cur;
+      for i = 0 to W.length counters - 1 do
+        let cid = W.get counters i in
+        if cp.Tables.Compiled.c_owner.(cid) = rt.nid then
+          for k = cp.Tables.Compiled.cs_start.(cid)
+              to cp.Tables.Compiled.cs_start.(cid + 1) - 1 do
+            send_control t ~dst_nid:cp.Tables.Compiled.cs_subs.(k)
+              (Control.Counter_update { cid; value = rt.counter_values.(cid) })
+          done
+      done;
       (* 2. re-evaluate local terms over the changed counters *)
       W.clear rt.ws_terms;
-      W.iter
-        (fun cid ->
-          for k = cp.Tables.Compiled.ct_start.(cid)
-              to cp.Tables.Compiled.ct_start.(cid + 1) - 1 do
-            let tid = cp.Tables.Compiled.ct_terms.(k) in
-            if rt.term_local.(tid) then ignore (W.add rt.ws_terms tid)
-          done)
-        !cur;
+      for i = 0 to W.length counters - 1 do
+        let cid = W.get counters i in
+        for k = cp.Tables.Compiled.ct_start.(cid)
+            to cp.Tables.Compiled.ct_start.(cid + 1) - 1 do
+          let tid = cp.Tables.Compiled.ct_terms.(k) in
+          if rt.term_local.(tid) then ignore (W.add rt.ws_terms tid)
+        done
+      done;
       W.sort rt.ws_terms;
       (* terms that flipped (locally or pushed from a remote evaluator)
          feed the conditions they participate in *)
       W.clear rt.ws_conds;
-      let add_conditions tid =
-        for k = cp.Tables.Compiled.tc_start.(tid)
-            to cp.Tables.Compiled.tc_start.(tid + 1) - 1 do
-          let did = cp.Tables.Compiled.tc_conds.(k) in
-          if rt.cond_local.(did) then ignore (W.add rt.ws_conds did)
-        done
-      in
-      W.iter
-        (fun tid ->
-          t.stats.terms_evaluated <- t.stats.terms_evaluated + 1;
-          let status = eval_term rt tid in
-          if status <> rt.term_status.(tid) then begin
-            rt.term_status.(tid) <- status;
-            if Rec.enabled t.obs then
-              ignore (Rec.emit_term_flipped t.obs ~tid ~status);
-            for k = cp.Tables.Compiled.ts_start.(tid)
-                to cp.Tables.Compiled.ts_start.(tid + 1) - 1 do
-              send_control t ~dst_nid:cp.Tables.Compiled.ts_subs.(k)
-                (Control.Term_status { tid; status })
-            done;
-            add_conditions tid
-          end)
-        rt.ws_terms;
-      List.iter add_conditions !ext_terms;
-      ext_terms := [];
+      for i = 0 to W.length rt.ws_terms - 1 do
+        let tid = W.get rt.ws_terms i in
+        t.stats.terms_evaluated <- t.stats.terms_evaluated + 1;
+        let status = eval_term rt tid in
+        if status <> rt.term_status.(tid) then begin
+          rt.term_status.(tid) <- status;
+          if Rec.enabled t.obs then
+            ignore (Rec.emit_term_flipped t.obs ~tid ~status);
+          for k = cp.Tables.Compiled.ts_start.(tid)
+              to cp.Tables.Compiled.ts_start.(tid + 1) - 1 do
+            send_control t ~dst_nid:cp.Tables.Compiled.ts_subs.(k)
+              (Control.Term_status { tid; status })
+          done;
+          add_conditions rt tid
+        end
+      done;
+      if !ext_term >= 0 then begin
+        add_conditions rt !ext_term;
+        ext_term := -1
+      end;
       W.sort rt.ws_conds;
       (* 3. snapshot-evaluate affected conditions, collect rising edges *)
-      let risen = ref [] in
-      W.iter
-        (fun did ->
-          t.stats.conditions_evaluated <- t.stats.conditions_evaluated + 1;
-          let status = eval_cond rt did in
-          if status && not rt.cond_status.(did) then begin
-            if Rec.enabled t.obs then
-              ignore (Rec.emit_condition_rose t.obs ~did);
-            risen := did :: !risen
-          end;
-          rt.cond_status.(did) <- status)
-        rt.ws_conds;
+      W.clear rt.ws_risen;
+      for i = 0 to W.length rt.ws_conds - 1 do
+        let did = W.get rt.ws_conds i in
+        t.stats.conditions_evaluated <- t.stats.conditions_evaluated + 1;
+        let status = eval_cond rt did in
+        if status && not rt.cond_status.(did) then begin
+          if Rec.enabled t.obs then ignore (Rec.emit_condition_rose t.obs ~did);
+          ignore (W.add rt.ws_risen did)
+        end;
+        rt.cond_status.(did) <- status
+      done;
       (* 4. fire the risen conditions' local actions, in ascending did
-         order (the worklist was sorted; [risen] was built by prepending) *)
+         order (the order they rose in, the conditions being sorted) *)
       W.clear !next;
-      List.iter
-        (fun did ->
-          for k = cp.Tables.Compiled.ca_start.(did)
-              to cp.Tables.Compiled.ca_start.(did + 1) - 1 do
-            if cp.Tables.Compiled.ca_nid.(k) = rt.nid then
-              execute_action t rt ~did ~aid:cp.Tables.Compiled.ca_aid.(k)
-                ~changed:!next
-          done)
-        (List.rev !risen);
+      for i = 0 to W.length rt.ws_risen - 1 do
+        let did = W.get rt.ws_risen i in
+        for k = cp.Tables.Compiled.ca_start.(did)
+            to cp.Tables.Compiled.ca_start.(did + 1) - 1 do
+          if cp.Tables.Compiled.ca_nid.(k) = rt.nid then
+            execute_action t rt ~did ~aid:cp.Tables.Compiled.ca_aid.(k)
+              ~changed:!next
+        done
+      done;
       let tmp = !cur in
       cur := !next;
       next := tmp;
@@ -474,6 +471,16 @@ and cascade t rt ~changed_counters ~changed_terms =
   | Some m ->
       Mx.observe m.mx_cascade_depth !round;
       Mx.observe m.mx_control_fanout (t.stats.control_sent - ctl_sent_before)
+
+(* Queue, for this round's condition pass, the local conditions that term
+   [tid] participates in. *)
+and add_conditions rt tid =
+  let cp = rt.compiled in
+  for k = cp.Tables.Compiled.tc_start.(tid)
+      to cp.Tables.Compiled.tc_start.(tid + 1) - 1 do
+    let did = cp.Tables.Compiled.tc_conds.(k) in
+    if rt.cond_local.(did) then ignore (Vw_util.Worklist.add rt.ws_conds did)
+  done
 
 (* --- control-plane receive --- *)
 
@@ -499,7 +506,9 @@ and process_control t msg =
           rt.counter_values.(cid) <- value;
           if Rec.enabled t.obs then
             ignore (Rec.emit_counter_changed t.obs ~cid ~value ~delta);
-          cascade t rt ~changed_counters:[ cid ] ~changed_terms:[]
+          Vw_util.Worklist.clear rt.ws_counters;
+          ignore (Vw_util.Worklist.add rt.ws_counters cid);
+          cascade t rt ~ext_term:(-1)
         end
       end
   | Control.Term_status { tid; status }, Some rt ->
@@ -508,7 +517,8 @@ and process_control t msg =
           rt.term_status.(tid) <- status;
           if Rec.enabled t.obs then
             ignore (Rec.emit_term_flipped t.obs ~tid ~status);
-          cascade t rt ~changed_counters:[] ~changed_terms:[ tid ]
+          Vw_util.Worklist.clear rt.ws_counters;
+          cascade t rt ~ext_term:tid
         end
       end
   | Control.Var_bind { vid; value }, Some rt ->
@@ -688,8 +698,10 @@ and init_local t ~controller_nid tables =
             Vw_util.Worklist.create (Array.length tables.Tables.terms);
           ws_conds =
             Vw_util.Worklist.create (Array.length tables.Tables.conds);
+          ws_risen =
+            Vw_util.Worklist.create (Array.length tables.Tables.conds);
           started = false;
-          last_match = None;
+          last_match = -1;
         }
       in
       (* Initial term/condition statuses from the all-zero counter state —
@@ -712,9 +724,8 @@ and start_local t =
       rt.started <- true;
       (* Fire the conditions that are true at scenario start (the TRUE
          rules, and any degenerate always-true conditions). *)
-      let changed =
-        Vw_util.Worklist.create (Array.length rt.counter_values)
-      in
+      let changed = rt.ws_counters in
+      Vw_util.Worklist.clear changed;
       Array.iter
         (fun (cond : Tables.cond_entry) ->
           if
@@ -727,9 +738,7 @@ and start_local t =
                   execute_action t rt ~did:cond.Tables.did ~aid ~changed)
               cond.Tables.cond_actions)
         rt.tables.Tables.conds;
-      cascade t rt
-        ~changed_counters:(Vw_util.Worklist.to_list changed)
-        ~changed_terms:[]
+      cascade t rt ~ext_term:(-1)
 
 (* --- the per-packet path --- *)
 
@@ -858,7 +867,7 @@ let process_classified t rt point (frame : Vw_net.Eth.t) ~fid ~scanned =
     charge_cost t point ~scanned ~actions:0 (Vw_stack.Hook.Accept frame)
   else begin
     t.stats.packets_matched <- t.stats.packets_matched + 1;
-    rt.last_match <- Some (now t);
+    rt.last_match <- now t;
     (* the classification event roots the causal chain for everything
        this packet triggers, until the verdict is decided *)
     let recording = Rec.enabled t.obs in
@@ -873,46 +882,46 @@ let process_classified t rt point (frame : Vw_net.Eth.t) ~fid ~scanned =
     end;
     let p = pindex point in
     (* 1. counter updates: only the observers precomputed for this
-       (point, fid) *)
-    let changed = ref [] in
-    Array.iter
-      (fun ob ->
-        if
-          rt.counter_enabled.(ob.ob_cid)
-          && Vw_net.Mac.equal frame.src ob.ob_src
-          && Vw_net.Mac.equal frame.dst ob.ob_dst
-        then begin
-          rt.counter_values.(ob.ob_cid) <- rt.counter_values.(ob.ob_cid) + 1;
-          t.stats.counter_updates <- t.stats.counter_updates + 1;
-          if recording then
-            ignore
-              (Rec.emit_counter_changed t.obs ~cid:ob.ob_cid
-                 ~value:rt.counter_values.(ob.ob_cid) ~delta:1);
-          changed := ob.ob_cid :: !changed
-        end)
-      rt.observing_counters.(p).(fid);
+       (point, fid), seeding the cascade's first worklist *)
+    let changed = rt.ws_counters in
+    Vw_util.Worklist.clear changed;
+    let observers = rt.observing_counters.(p).(fid) in
+    for i = 0 to Array.length observers - 1 do
+      let ob = observers.(i) in
+      if
+        rt.counter_enabled.(ob.ob_cid)
+        && Vw_net.Mac.equal frame.src ob.ob_src
+        && Vw_net.Mac.equal frame.dst ob.ob_dst
+      then begin
+        rt.counter_values.(ob.ob_cid) <- rt.counter_values.(ob.ob_cid) + 1;
+        t.stats.counter_updates <- t.stats.counter_updates + 1;
+        if recording then
+          ignore
+            (Rec.emit_counter_changed t.obs ~cid:ob.ob_cid
+               ~value:rt.counter_values.(ob.ob_cid) ~delta:1);
+        ignore (Vw_util.Worklist.add changed ob.ob_cid)
+      end
+    done;
     (* 2. cascade *)
-    if !changed <> [] then
-      cascade t rt ~changed_counters:(List.rev !changed) ~changed_terms:[];
+    if not (Vw_util.Worklist.is_empty changed) then cascade t rt ~ext_term:(-1);
     (* 3. apply the first armed fault for this (point, fid) whose
        condition holds and whose endpoints match *)
     let faults = rt.faults_by_fid.(p).(fid) in
-    let n_faults = Array.length faults in
-    let rec first_fault i =
-      if i = n_faults then None
-      else
-        let af = faults.(i) in
-        if
-          rt.cond_status.(af.af_did)
-          && Vw_net.Mac.equal frame.src af.af_src
-          && Vw_net.Mac.equal frame.dst af.af_dst
-        then Some af
-        else first_fault (i + 1)
-    in
+    let i = ref 0 in
+    while
+      !i < Array.length faults
+      &&
+      let af = faults.(!i) in
+      not
+        (rt.cond_status.(af.af_did)
+        && Vw_net.Mac.equal frame.src af.af_src
+        && Vw_net.Mac.equal frame.dst af.af_dst)
+    do
+      incr i
+    done;
     let verdict =
-      match first_fault 0 with
-      | Some af -> apply_fault t rt point frame af
-      | None -> Vw_stack.Hook.Accept frame
+      if !i < Array.length faults then apply_fault t rt point frame faults.(!i)
+      else Vw_stack.Hook.Accept frame
     in
     if recording then Rec.set_cause t.obs prev_cause;
     charge_cost t point ~scanned
@@ -928,12 +937,7 @@ let handle_packet t point (frame : Vw_net.Eth.t) =
   | Some rt ->
       let scanned_before = t.cls.Classifier.filters_scanned in
       let fid =
-        match
-          Classifier.classify_frame_c ~stats:t.cls rt.compiled
-            ~bindings:rt.bindings frame
-        with
-        | Some fid -> fid
-        | None -> -1
+        Classifier.classify_fid t.cls rt.compiled ~bindings:rt.bindings frame
       in
       let scanned = t.cls.Classifier.filters_scanned - scanned_before in
       process_classified t rt point frame ~fid ~scanned

@@ -17,11 +17,18 @@ let default_config =
     max_queue = 64;
   }
 
-(* Full-duplex direction: a FIFO of frames serialized back to back. *)
+(* Full-duplex direction: a FIFO of frames serialized back to back, and the
+   frames already on the wire. Serialization is sequential and propagation
+   constant, so frames arrive in the order they finished transmitting:
+   each arrival event takes the head of [inflight]. The two event
+   callbacks are allocated once per direction, not once per frame. *)
 type direction = {
-  queue : bytes Queue.t;
+  queue : bytes Vw_util.Ring.t; (* head = the frame being serialized *)
+  inflight : bytes Vw_util.Ring.t;
   mutable busy : bool;
   mutable rx : bytes -> unit; (* receiver at the far end *)
+  mutable tx_done : unit -> unit;
+  mutable arrive : unit -> unit;
 }
 
 type impl =
@@ -39,62 +46,19 @@ type t = {
 
 type endpoint = { link : t; index : int }
 
-let create engine config =
-  let impl =
-    if config.half_duplex then
-      Half_duplex
-        (Bus.create engine
-           {
-             Bus.bandwidth_bps = config.bandwidth_bps;
-             propagation = config.propagation;
-             loss_rate = config.loss_rate;
-             corrupt_rate = config.corrupt_rate;
-             max_queue = config.max_queue;
-           }
-           ~n:2)
-    else
-      Full_duplex
-        (Array.init 2 (fun _ ->
-             { queue = Queue.create (); busy = false; rx = ignore }))
-  in
-  {
-    engine;
-    config;
-    impl;
-    fd_stats = Media_stats.create ();
-    prng = Vw_sim.Engine.prng engine;
-    down = false;
-  }
-
-let endpoint_a t = { link = t; index = 0 }
-let endpoint_b t = { link = t; index = 1 }
-
-let stats t =
-  match t.impl with Full_duplex _ -> t.fd_stats | Half_duplex bus -> Bus.stats bus
-
-let config t = t.config
-
-let set_down t d =
-  t.down <- d;
-  match t.impl with Half_duplex bus -> Bus.set_down bus d | Full_duplex _ -> ()
-
 let tx_time t len =
   Vw_sim.Simtime.ns
     (int_of_float ((float_of_int (len * 8) /. t.config.bandwidth_bps *. 1e9) +. 0.5))
 
-let rec pump_direction t dir =
-  match Queue.peek_opt dir.queue with
-  | None -> dir.busy <- false
-  | Some data ->
-      dir.busy <- true;
-      let duration = tx_time t (Bytes.length data) in
-      ignore
-        (Vw_sim.Engine.schedule_after t.engine ~delay:duration (fun () ->
-             ignore (Queue.pop dir.queue);
-             transmit_done t dir data;
-             pump_direction t dir))
+let pump_direction t dir =
+  if Vw_util.Ring.is_empty dir.queue then dir.busy <- false
+  else begin
+    dir.busy <- true;
+    let duration = tx_time t (Bytes.length (Vw_util.Ring.peek dir.queue)) in
+    ignore (Vw_sim.Engine.schedule_after t.engine ~delay:duration dir.tx_done)
+  end
 
-and transmit_done t dir data =
+let transmit_done t dir data =
   if not t.down then
     if Vw_util.Prng.bool t.prng t.config.loss_rate then
       t.fd_stats.dropped_loss <- t.fd_stats.dropped_loss + 1
@@ -113,10 +77,71 @@ and transmit_done t dir data =
         else data
       in
       t.fd_stats.delivered <- t.fd_stats.delivered + 1;
+      Vw_util.Ring.add dir.inflight data;
       ignore
         (Vw_sim.Engine.schedule_after t.engine ~delay:t.config.propagation
-           (fun () -> dir.rx data))
+           dir.arrive)
     end
+
+let create engine config =
+  let impl =
+    if config.half_duplex then
+      Half_duplex
+        (Bus.create engine
+           {
+             Bus.bandwidth_bps = config.bandwidth_bps;
+             propagation = config.propagation;
+             loss_rate = config.loss_rate;
+             corrupt_rate = config.corrupt_rate;
+             max_queue = config.max_queue;
+           }
+           ~n:2)
+    else
+      Full_duplex
+        (Array.init 2 (fun _ ->
+             {
+               queue = Vw_util.Ring.create ~dummy:Bytes.empty;
+               inflight = Vw_util.Ring.create ~dummy:Bytes.empty;
+               busy = false;
+               rx = ignore;
+               tx_done = ignore;
+               arrive = ignore;
+             }))
+  in
+  let t =
+    {
+      engine;
+      config;
+      impl;
+      fd_stats = Media_stats.create ();
+      prng = Vw_sim.Engine.prng engine;
+      down = false;
+    }
+  in
+  (match impl with
+  | Full_duplex dirs ->
+      Array.iter
+        (fun dir ->
+          dir.tx_done <-
+            (fun () ->
+              transmit_done t dir (Vw_util.Ring.take dir.queue);
+              pump_direction t dir);
+          dir.arrive <- (fun () -> dir.rx (Vw_util.Ring.take dir.inflight)))
+        dirs
+  | Half_duplex _ -> ());
+  t
+
+let endpoint_a t = { link = t; index = 0 }
+let endpoint_b t = { link = t; index = 1 }
+
+let stats t =
+  match t.impl with Full_duplex _ -> t.fd_stats | Half_duplex bus -> Bus.stats bus
+
+let config t = t.config
+
+let set_down t d =
+  t.down <- d;
+  match t.impl with Half_duplex bus -> Bus.set_down bus d | Full_duplex _ -> ()
 
 let send ep data =
   let t = ep.link in
@@ -127,10 +152,10 @@ let send ep data =
       if t.down then ()
       else begin
         let dir = dirs.(ep.index) in
-        if Queue.length dir.queue >= t.config.max_queue then
+        if Vw_util.Ring.length dir.queue >= t.config.max_queue then
           t.fd_stats.dropped_queue <- t.fd_stats.dropped_queue + 1
         else begin
-          Queue.add data dir.queue;
+          Vw_util.Ring.add dir.queue data;
           if not dir.busy then pump_direction t dir
         end
       end
@@ -148,4 +173,4 @@ let queue_length ep =
   let t = ep.link in
   match t.impl with
   | Half_duplex bus -> Bus.queue_length (Bus.endpoint bus ep.index)
-  | Full_duplex dirs -> Queue.length dirs.(ep.index).queue
+  | Full_duplex dirs -> Vw_util.Ring.length dirs.(ep.index).queue

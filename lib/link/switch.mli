@@ -27,4 +27,7 @@ val attach : t -> Link.endpoint -> int
 
 val stats : t -> stats
 val learned_ports : t -> (Vw_net.Mac.t * int) list
+(** Every source MAC learned so far with its port, in ascending MAC
+    order. *)
+
 val port_count : t -> int

@@ -34,10 +34,11 @@ let get_byte t i =
 let read_int_be t ~pos ~len =
   if len < 1 || len > 7 then invalid_arg "Eth.read_int_be: len out of [1;7]";
   if pos < 0 || pos + len > size t then invalid_arg "Eth.read_int_be: out of range";
-  let rec go acc i =
-    if i = len then acc else go ((acc lsl 8) lor get_byte t (pos + i)) (i + 1)
-  in
-  go 0 0
+  let acc = ref 0 in
+  for i = pos to pos + len - 1 do
+    acc := (!acc lsl 8) lor get_byte t i
+  done;
+  !acc
 
 let masked_field_equal t ~pos ~pattern ~mask =
   let len = Bytes.length pattern in
@@ -75,32 +76,36 @@ let field_matches t ~pos ~pat ~pat_off ~pat_len ~mask ~mask_off ~mask_len =
     (* entirely inside the payload: compare in place, no per-byte dispatch *)
     let p = t.payload in
     let base = pos - header_size in
-    let rec go i =
-      if i = pat_len then true
-      else
-        let m =
-          if i < mask_len then Char.code (Bytes.unsafe_get mask (mask_off + i))
-          else 0xff
-        in
-        let bv = Char.code (Bytes.unsafe_get p (base + i)) land m in
-        let pv = Char.code (Bytes.unsafe_get pat (pat_off + i)) land m in
-        if bv = pv then go (i + 1) else false
-    in
-    go 0
+    let i = ref 0 in
+    while
+      !i < pat_len
+      &&
+      let m =
+        if !i < mask_len then Char.code (Bytes.unsafe_get mask (mask_off + !i))
+        else 0xff
+      in
+      Char.code (Bytes.unsafe_get p (base + !i)) land m
+      = Char.code (Bytes.unsafe_get pat (pat_off + !i)) land m
+    do
+      incr i
+    done;
+    !i = pat_len
   end
-  else
-    let rec go i =
-      if i = pat_len then true
-      else
-        let m =
-          if i < mask_len then Char.code (Bytes.get mask (mask_off + i))
-          else 0xff
-        in
-        let bv = get_byte t (pos + i) land m in
-        let pv = Char.code (Bytes.get pat (pat_off + i)) land m in
-        if bv = pv then go (i + 1) else false
-    in
-    go 0
+  else begin
+    let i = ref 0 in
+    while
+      !i < pat_len
+      &&
+      let m =
+        if !i < mask_len then Char.code (Bytes.get mask (mask_off + !i))
+        else 0xff
+      in
+      get_byte t (pos + !i) land m = Char.code (Bytes.get pat (pat_off + !i)) land m
+    do
+      incr i
+    done;
+    !i = pat_len
+  end
 
 let of_bytes b =
   if Bytes.length b < header_size then

@@ -15,21 +15,33 @@ let protocol_tcp = 6
 let make ?(tos = 0) ?(ttl = 64) ?(ident = 0) ~protocol ~src ~dst payload =
   { tos; ttl; protocol; ident; src; dst; payload }
 
-let to_bytes t =
-  let total = header_size + Bytes.length t.payload in
+let max_size = 0xffff
+
+let header_buffer ~tos ~ttl ~ident ~protocol ~src ~dst ~payload_len =
+  let total = header_size + payload_len in
+  if total > max_size then
+    invalid_arg
+      (Printf.sprintf "Ipv4: %d-byte packet exceeds %d bytes" total max_size);
   let b = Bytes.create total in
   Bytes.set b 0 '\x45' (* version 4, IHL 5 *);
-  Bytes.set b 1 (Char.chr (t.tos land 0xff));
+  Bytes.set b 1 (Char.chr (tos land 0xff));
   Vw_util.Hexutil.set_int_be b ~pos:2 ~len:2 total;
-  Vw_util.Hexutil.set_int_be b ~pos:4 ~len:2 (t.ident land 0xffff);
+  Vw_util.Hexutil.set_int_be b ~pos:4 ~len:2 (ident land 0xffff);
   Vw_util.Hexutil.set_int_be b ~pos:6 ~len:2 0 (* flags/fragment *);
-  Bytes.set b 8 (Char.chr (t.ttl land 0xff));
-  Bytes.set b 9 (Char.chr (t.protocol land 0xff));
+  Bytes.set b 8 (Char.chr (ttl land 0xff));
+  Bytes.set b 9 (Char.chr (protocol land 0xff));
   Vw_util.Hexutil.set_int_be b ~pos:10 ~len:2 0 (* checksum placeholder *);
-  Ip_addr.write t.src b ~pos:12;
-  Ip_addr.write t.dst b ~pos:16;
+  Ip_addr.write src b ~pos:12;
+  Ip_addr.write dst b ~pos:16;
   let csum = Vw_util.Checksum.checksum b ~pos:0 ~len:header_size in
   Vw_util.Hexutil.set_int_be b ~pos:10 ~len:2 csum;
+  b
+
+let to_bytes t =
+  let b =
+    header_buffer ~tos:t.tos ~ttl:t.ttl ~ident:t.ident ~protocol:t.protocol
+      ~src:t.src ~dst:t.dst ~payload_len:(Bytes.length t.payload)
+  in
   Bytes.blit t.payload 0 b header_size (Bytes.length t.payload);
   b
 

@@ -67,14 +67,19 @@ let set c v = if c.c_on then c.c_value <- v
 let value c = c.c_value
 
 let bucket_index bounds v =
-  (* first bound >= v; linear — bucket arrays are small by construction *)
-  let n = Array.length bounds in
-  let rec go i = if i = n || v <= bounds.(i) then i else go (i + 1) in
-  go 0
+  (* first bound >= v; linear — bucket arrays are small by construction.
+     A loop, not a local recursive function: [observe] runs per packet and
+     must not allocate a closure. *)
+  let i = ref 0 in
+  while !i < Array.length bounds && v > bounds.(!i) do
+    i := !i + 1
+  done;
+  !i
 
 let observe h v =
   if h.h_on then begin
-    h.counts.(bucket_index h.bounds v) <- h.counts.(bucket_index h.bounds v) + 1;
+    let b = bucket_index h.bounds v in
+    h.counts.(b) <- h.counts.(b) + 1;
     h.h_total <- h.h_total + 1;
     h.h_sum <- h.h_sum + v;
     if v > h.h_max then h.h_max <- v

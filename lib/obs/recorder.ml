@@ -12,10 +12,11 @@ type t = {
   (* Typed sink: circular array of boxed events (the legacy slow path,
      kept as the jsonl-cost reference for the bench ablation). *)
   mutable buf : Event.t option array;
-  (* Binary sink: preallocated ring of 48-byte vw-events/2 slots; the
-     hot path writes straight into it with no per-event allocation. *)
-  mutable ring : Bytes.t;
-  mutable slots : int; (* Bytes.length ring / Binlog.slot_bytes, cached *)
+  (* Binary sink: a ring of 48-byte vw-events/2 slots held in fixed-size
+     pages; the hot path writes straight into it with no per-event
+     allocation. *)
+  mutable pages : Bytes.t array;
+  mutable slots : int; (* slots in [pages] *)
   mutable start : int; (* slot/array index of the oldest retained event *)
   mutable len : int;
   mutable dropped : int;
@@ -37,7 +38,7 @@ let null =
     clock = (fun () -> Vw_sim.Simtime.zero);
     seq = ref 0;
     buf = [||];
-    ring = Bytes.empty;
+    pages = [||];
     slots = 0;
     start = 0;
     len = 0;
@@ -61,7 +62,7 @@ let create ?(mode = Binary) ?(capacity = 16384) ?strings ~node ~clock ~seq () =
     clock;
     seq;
     buf = [||];
-    ring = Bytes.empty;
+    pages = [||];
     slots = 0;
     start = 0;
     len = 0;
@@ -116,15 +117,25 @@ let typed_emit t ~root body =
 
 (* --- binary sink --- *)
 
-(* Grow the ring geometrically toward capacity. Cold: runs O(log capacity)
-   times per recorder lifetime, so it stays out of line while the claim
+(* The ring grows toward capacity one page at a time. Slots never move,
+   so growing copies nothing and leaves no outgrown ring behind as
+   major-heap garbage, and a ring holds at most one partly used page.
+   (A testbed per run makes those outgrown rings a steady stream of
+   large garbage, which the major GC reclaims late when the frame path
+   itself allocates little.)
+   Slot [i] is at page [i lsr page_bits], byte [(i land page_mask) * 48]:
+   the ring only grows while it has never wrapped ([start] = 0), so new
+   slots simply extend it. Cold: it stays out of line while the claim
    logic itself is open-coded in [binary_emit]. *)
+let page_bits = 8
+let page_mask = (1 lsl page_bits) - 1
+
 let grow_ring t =
-  let n = min t.capacity (max 64 (2 * t.slots)) in
-  let ring = Bytes.make (n * Binlog.slot_bytes) '\000' in
-  Bytes.blit t.ring 0 ring 0 (t.len * Binlog.slot_bytes);
-  t.ring <- ring;
-  t.slots <- n
+  let n = min (page_mask + 1) (t.capacity - t.slots) in
+  t.pages <- Array.append t.pages [| Bytes.make (n * Binlog.slot_bytes) '\000' |];
+  t.slots <- t.slots + n
+
+let slot_offset i = (i land page_mask) * Binlog.slot_bytes
 
 (* [Binlog.encode_slot]'s six 64-bit stores, open-coded here because the
    classic compiler will not inline across the module boundary and the
@@ -146,22 +157,22 @@ let binary_emit t ~root ~kind ~aux ~a ~b ~c =
   in
   (* claim the next slot: grow toward capacity, then drop-oldest — the
      same semantics and [dropped] accounting as the typed sink *)
-  let off =
+  let i =
     if t.len < t.capacity then begin
       if t.len = t.slots then grow_ring t;
       let i = t.start + t.len in
       let i = if i >= t.slots then i - t.slots else i in
       t.len <- t.len + 1;
-      i * Binlog.slot_bytes
+      i
     end
     else begin
       let i = t.start in
       t.start <- (if t.start + 1 >= t.slots then 0 else t.start + 1);
       t.dropped <- t.dropped + 1;
-      i * Binlog.slot_bytes
+      i
     end
   in
-  let ring = t.ring in
+  let ring = t.pages.(i lsr page_bits) and off = slot_offset i in
   set_64u ring (off + Binlog.o_seq)
     (Int64.logor (Int64.of_int seq) (Int64.shift_left (Int64.of_int t.sid) 48));
   set_64u ring (off + Binlog.o_time)
@@ -323,7 +334,7 @@ let events t =
           let idx = t.start + i in
           let idx = if idx >= t.slots then idx - t.slots else idx in
           match
-            Binlog.decode_slot t.ring ~off:(idx * Binlog.slot_bytes)
+            Binlog.decode_slot t.pages.(idx lsr page_bits) ~off:(slot_offset idx)
               ~node:t.node
           with
           | Ok e -> e
@@ -333,14 +344,18 @@ let append_binary buf t =
   let sb = Binlog.slot_bytes in
   match t.mode with
   | Binary ->
-      (* at most two contiguous regions, blitted wholesale *)
-      if t.start + t.len <= t.slots then
-        Buffer.add_subbytes buf t.ring (t.start * sb) (t.len * sb)
-      else begin
-        let first = t.slots - t.start in
-        Buffer.add_subbytes buf t.ring (t.start * sb) (first * sb);
-        Buffer.add_subbytes buf t.ring 0 ((t.len - first) * sb)
-      end
+      (* oldest first, blitted a page's run of slots at a time; the ring
+         wraps at a page boundary *)
+      let k = ref 0 in
+      while !k < t.len do
+        let idx = t.start + !k in
+        let idx = if idx >= t.slots then idx - t.slots else idx in
+        let page = t.pages.(idx lsr page_bits) in
+        let off = slot_offset idx in
+        let run = min ((Bytes.length page - off) / sb) (t.len - !k) in
+        Buffer.add_subbytes buf page off (run * sb);
+        k := !k + run
+      done
   | Typed ->
       List.iter (fun e -> Binlog.add_slot_of_event buf ~sid:t.sid e) (events t)
 

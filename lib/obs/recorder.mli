@@ -6,7 +6,8 @@
     global order in which events were recorded.
 
     {b Two sinks.} The default {!Binary} sink encodes each event straight
-    into a preallocated [Bytes] ring as a fixed 48-byte [vw-events/2]
+    into a ring of preallocated [Bytes] pages (256 slots each, added as
+    the ring fills and never copied) as a fixed 48-byte [vw-events/2]
     slot ({!Binlog}) — no per-event allocation, which is what makes
     always-on recording affordable at engine speed (see [bench micro]'s
     [obs_ablation]). The legacy {!Typed} sink keeps boxed {!Event.t}s in

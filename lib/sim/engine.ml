@@ -29,12 +29,14 @@ let schedule_after t ~delay fn =
 let cancel t handle = Event_queue.cancel t.queue handle
 
 let step t =
-  match Event_queue.pop t.queue with
-  | None -> false
-  | Some (time, fn) ->
-      t.clock <- max t.clock time;
-      fn ();
-      true
+  if Event_queue.is_empty t.queue then false
+  else begin
+    let time = Event_queue.earliest_time t.queue in
+    let fn = Event_queue.take t.queue in
+    if time > t.clock then t.clock <- time;
+    fn ();
+    true
+  end
 
 let run ?until ?max_events t =
   t.stop_requested <- false;
@@ -45,17 +47,15 @@ let run ?until ?max_events t =
   let continue = ref true in
   while !continue do
     if t.stop_requested || not (budget_left ()) then continue := false
+    else if Event_queue.is_empty t.queue then continue := false
     else
-      match Event_queue.peek_time t.queue with
-      | None -> continue := false
-      | Some time -> (
-          match until with
-          | Some u when time > u ->
-              t.clock <- max t.clock u;
-              continue := false
-          | _ ->
-              ignore (step t);
-              incr executed)
+      match until with
+      | Some u when Event_queue.earliest_time t.queue > u ->
+          t.clock <- max t.clock u;
+          continue := false
+      | _ ->
+          ignore (step t);
+          incr executed
   done;
   match until with
   | Some u when Event_queue.is_empty t.queue && not t.stop_requested ->

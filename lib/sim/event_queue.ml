@@ -86,10 +86,12 @@ let cancel t entry =
   let i = entry.slot in
   if i >= 0 && i < t.size && t.heap.(i) == entry then ignore (remove_at t i)
 
-let pop t =
-  if t.size = 0 then None
-  else
-    let top = remove_at t 0 in
-    Some (top.time, top.payload)
+(* The pop path is split in two so that neither half allocates: no
+   option, no tuple per event. *)
+let earliest_time t =
+  if t.size = 0 then invalid_arg "Event_queue.earliest_time: empty queue";
+  t.heap.(0).time
 
-let peek_time t = if t.size = 0 then None else Some t.heap.(0).time
+let take t =
+  if t.size = 0 then invalid_arg "Event_queue.take: empty queue";
+  (remove_at t 0).payload

@@ -21,7 +21,11 @@ val cancel : 'a t -> 'a handle -> unit
     already-fired or already-cancelled event, or one queued elsewhere, is a
     no-op. *)
 
-val pop : 'a t -> (Simtime.t * 'a) option
-(** Removes and returns the earliest event. *)
+val earliest_time : 'a t -> Simtime.t
+(** Time of the earliest event, which stays queued.
+    @raise Invalid_argument if the queue is empty. *)
 
-val peek_time : 'a t -> Simtime.t option
+val take : 'a t -> 'a
+(** Removes the earliest event (the one {!earliest_time} describes) and
+    returns its payload. Neither call allocates.
+    @raise Invalid_argument if the queue is empty. *)

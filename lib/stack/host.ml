@@ -20,6 +20,8 @@ type t = {
   ip : Vw_net.Ip_addr.t;
   mutable nic : Vw_link.Netif.t option;
   mutable hooks : hook_entry list; (* kept sorted in egress chain order *)
+  mutable egress_chain : hook_entry array; (* both rebuilt from [hooks] *)
+  mutable ingress_chain : hook_entry array;
   mutable next_hook_id : int;
   ethertype_handlers : (int, Vw_net.Eth.t -> unit) Hashtbl.t;
   ip_handlers : (int, Vw_net.Ipv4.t -> unit) Hashtbl.t;
@@ -43,10 +45,16 @@ let frames_sent t = t.frames_sent
 let frames_received t = t.frames_received
 
 (* Chain order: egress runs ascending priority; ingress runs descending.
-   [t.hooks] is kept ascending by (priority, id). *)
+   [t.hooks] is kept ascending by (priority, id); the per-point chain
+   arrays are rebuilt from it whenever a hook comes or goes, so a frame
+   walks a ready array instead of filtering the list. *)
 let chain t point =
   let same = List.filter (fun h -> h.point = point) t.hooks in
   match point with Hook.Egress -> same | Hook.Ingress -> List.rev same
+
+let rebuild_chains t =
+  t.egress_chain <- Array.of_list (chain t Hook.Egress);
+  t.ingress_chain <- Array.of_list (chain t Hook.Ingress)
 
 let add_hook t point ~priority ~name handler =
   let id = t.next_hook_id in
@@ -56,20 +64,12 @@ let add_hook t point ~priority ~name handler =
     List.stable_sort
       (fun a b -> compare (a.priority, a.id) (b.priority, b.id))
       (entry :: t.hooks);
+  rebuild_chains t;
   id
 
-let remove_hook t id = t.hooks <- List.filter (fun h -> h.id <> id) t.hooks
-
-(* Runs [frame] through the hooks of [hooks] (already in chain order);
-   [sink] receives the frame if it survives. *)
-let rec run_chain hooks sink frame =
-  match hooks with
-  | [] -> sink frame
-  | h :: rest -> (
-      match h.handler frame with
-      | Hook.Accept frame' -> run_chain rest sink frame'
-      | Hook.Drop -> ()
-      | Hook.Stolen -> ())
+let remove_hook t id =
+  t.hooks <- List.filter (fun h -> h.id <> id) t.hooks;
+  rebuild_chains t
 
 let transmit t (frame : Vw_net.Eth.t) =
   if not t.failed then begin
@@ -80,32 +80,53 @@ let transmit t (frame : Vw_net.Eth.t) =
     | None -> Log.warn (fun m -> m "%s: transmit with no NIC attached" t.name)
   end
 
+(* The per-frame lookups below use [Hashtbl.find], which unlike
+   [find_opt] allocates no option. *)
 let demux t (frame : Vw_net.Eth.t) =
-  match Hashtbl.find_opt t.ethertype_handlers frame.ethertype with
-  | Some handler -> handler frame
-  | None ->
+  match Hashtbl.find t.ethertype_handlers frame.ethertype with
+  | handler -> handler frame
+  | exception Not_found ->
       Log.debug (fun m ->
           m "%s: no handler for ethertype 0x%04x" t.name frame.ethertype)
 
-let egress_sink t frame = transmit t frame
-let ingress_sink t frame = demux t frame
+(* Runs [frame] through [chain.(i ..)]; a frame that survives the chain
+   goes to the NIC (egress) or to protocol demultiplexing (ingress). *)
+let rec run_chain t point chain i frame =
+  if i = Array.length chain then
+    match point with
+    | Hook.Egress -> transmit t frame
+    | Hook.Ingress -> demux t frame
+  else
+    match chain.(i).handler frame with
+    | Hook.Accept frame' -> run_chain t point chain (i + 1) frame'
+    | Hook.Drop -> ()
+    | Hook.Stolen -> ()
 
 let send_frame t frame =
-  if not t.failed then run_chain (chain t Hook.Egress) (egress_sink t) frame
+  if not t.failed then run_chain t Hook.Egress t.egress_chain 0 frame
 
+(* The hooks beyond [from_priority] are a suffix of the chain (egress
+   ascends in priority, ingress descends), so a reinjected frame - every
+   frame, under RLL - starts part-way down the same array. *)
 let reinject t point ~from_priority frame =
-  if not t.failed then
-    match point with
-    | Hook.Egress ->
-        let beyond =
-          List.filter (fun h -> h.priority > from_priority) (chain t Hook.Egress)
-        in
-        run_chain beyond (egress_sink t) frame
-    | Hook.Ingress ->
-        let beyond =
-          List.filter (fun h -> h.priority < from_priority) (chain t Hook.Ingress)
-        in
-        run_chain beyond (ingress_sink t) frame
+  if not t.failed then begin
+    let chain =
+      match point with
+      | Hook.Egress -> t.egress_chain
+      | Hook.Ingress -> t.ingress_chain
+    in
+    let i = ref 0 in
+    while
+      !i < Array.length chain
+      &&
+      match point with
+      | Hook.Egress -> chain.(!i).priority <= from_priority
+      | Hook.Ingress -> chain.(!i).priority >= from_priority
+    do
+      incr i
+    done;
+    run_chain t point chain !i frame
+  end
 
 let receive t data =
   if not t.failed then begin
@@ -117,7 +138,7 @@ let receive t data =
       then begin
         (match t.tap with Some tap -> tap ~dir:`In frame | None -> ());
         t.frames_received <- t.frames_received + 1;
-        run_chain (chain t Hook.Ingress) (ingress_sink t) frame
+        run_chain t Hook.Ingress t.ingress_chain 0 frame
       end
     end
   end
@@ -164,15 +185,15 @@ let drop_pending t ip =
       Hashtbl.remove t.pending_resolution ip;
       Queue.length q
 
-let send_ip t ?(ttl = 64) ~protocol ~dst payload =
-  t.ip_ident <- (t.ip_ident + 1) land 0xffff;
-  let packet =
-    Vw_net.Ipv4.make ~ttl ~ident:t.ip_ident ~protocol ~src:t.ip ~dst payload
-  in
-  let packet_bytes = Vw_net.Ipv4.to_bytes packet in
-  match Hashtbl.find_opt t.neighbors dst with
-  | Some mac -> emit_ip t ~dst_mac:mac packet_bytes
-  | None -> (
+(* Senders encode the whole packet with [next_ident] before committing it
+   with [route]: an oversize packet raises before any state changes. *)
+let next_ident t = (t.ip_ident + 1) land 0xffff
+
+let route t ~ident ~dst packet_bytes =
+  t.ip_ident <- ident;
+  match Hashtbl.find t.neighbors dst with
+  | mac -> emit_ip t ~dst_mac:mac packet_bytes
+  | exception Not_found -> (
       match t.neighbor_miss with
       | None ->
           (* no resolver: fall back to broadcast, the static-testbed
@@ -191,6 +212,12 @@ let send_ip t ?(ttl = 64) ~protocol ~dst payload =
             Queue.add packet_bytes q;
           miss dst)
 
+let send_ip t ?(ttl = 64) ~protocol ~dst payload =
+  let ident = next_ident t in
+  route t ~ident ~dst
+    (Vw_net.Ipv4.to_bytes
+       { Vw_net.Ipv4.tos = 0; ttl; protocol; ident; src = t.ip; dst; payload })
+
 let set_ip_protocol_handler t protocol handler =
   Hashtbl.replace t.ip_handlers protocol handler
 
@@ -199,9 +226,9 @@ let handle_ip t (frame : Vw_net.Eth.t) =
   | Error e -> Log.debug (fun m -> m "%s: dropped IP packet: %s" t.name e)
   | Ok packet ->
       if Vw_net.Ip_addr.equal packet.dst t.ip then
-        match Hashtbl.find_opt t.ip_handlers packet.protocol with
-        | Some handler -> handler packet
-        | None ->
+        match Hashtbl.find t.ip_handlers packet.protocol with
+        | handler -> handler packet
+        | exception Not_found ->
             Log.debug (fun m ->
                 m "%s: no handler for IP protocol %d" t.name packet.protocol)
 
@@ -229,10 +256,10 @@ let handle_udp t (packet : Vw_net.Ipv4.t) =
   match Vw_net.Udp.of_bytes ~src:packet.src ~dst:packet.dst packet.payload with
   | Error e -> Log.debug (fun m -> m "%s: dropped UDP datagram: %s" t.name e)
   | Ok dgram -> (
-      match Hashtbl.find_opt t.udp_ports dgram.dst_port with
-      | Some handler ->
+      match Hashtbl.find t.udp_ports dgram.dst_port with
+      | handler ->
           handler ~src:packet.src ~src_port:dgram.src_port dgram.payload
-      | None ->
+      | exception Not_found ->
           (* port unreachable: echo the offending IP header + 8 payload
              bytes back, per RFC 792 *)
           let original_ip = Vw_net.Ipv4.to_bytes packet in
@@ -251,10 +278,18 @@ let udp_bind t ~port handler =
 
 let udp_unbind t ~port = Hashtbl.remove t.udp_ports port
 
+(* The datagram is written straight into the packet buffer: one copy of
+   the payload, not two. *)
 let udp_send t ~src_port ~dst ~dst_port payload =
-  let dgram = Vw_net.Udp.make ~src_port ~dst_port payload in
-  send_ip t ~protocol:Vw_net.Ipv4.protocol_udp ~dst
-    (Vw_net.Udp.to_bytes ~src:t.ip ~dst dgram)
+  let ident = next_ident t in
+  let packet =
+    Vw_net.Ipv4.header_buffer ~tos:0 ~ttl:64 ~ident
+      ~protocol:Vw_net.Ipv4.protocol_udp ~src:t.ip ~dst
+      ~payload_len:(Vw_net.Udp.header_size + Bytes.length payload)
+  in
+  Vw_net.Udp.write ~src:t.ip ~dst ~src_port ~dst_port payload packet
+    ~pos:Vw_net.Ipv4.header_size;
+  route t ~ident ~dst packet
 
 (* --- Timers --- *)
 
@@ -292,6 +327,8 @@ let create engine ~name ~mac ~ip =
       ip;
       nic = None;
       hooks = [];
+      egress_chain = [||];
+      ingress_chain = [||];
       next_hook_id = 0;
       ethertype_handlers = Hashtbl.create 8;
       ip_handlers = Hashtbl.create 8;

@@ -74,6 +74,9 @@ val drop_pending : t -> Vw_net.Ip_addr.t -> int
 
 val send_ip :
   t -> ?ttl:int -> protocol:int -> dst:Vw_net.Ip_addr.t -> bytes -> unit
+(** @raise Invalid_argument if the packet would exceed
+    {!Vw_net.Ipv4.max_size} bytes (no fragmentation); nothing is sent and
+    the IP ident is not consumed. *)
 
 val set_ip_protocol_handler : t -> int -> (Vw_net.Ipv4.t -> unit) -> unit
 (** Receiver for an IP protocol number. Frames whose IPv4 header fails to
@@ -102,6 +105,9 @@ val udp_unbind : t -> port:int -> unit
 
 val udp_send :
   t -> src_port:int -> dst:Vw_net.Ip_addr.t -> dst_port:int -> bytes -> unit
+(** Sends one datagram. The largest payload is 65507 bytes, what fits in
+    a {!Vw_net.Ipv4.max_size} packet behind the IP and UDP headers.
+    @raise Invalid_argument on a larger payload; nothing is sent. *)
 
 (** {1 Timers}
 

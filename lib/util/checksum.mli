@@ -4,9 +4,9 @@
     data viewed as big-endian 16-bit words, with odd trailing bytes padded
     with a zero byte. *)
 
-val ones_sum : ?init:int -> bytes -> pos:int -> len:int -> int
-(** [ones_sum ?init b ~pos ~len] folds the 16-bit one's-complement sum of
-    [len] bytes of [b] starting at [pos] into [init] (default 0). The result
+val ones_sum : init:int -> bytes -> pos:int -> len:int -> int
+(** [ones_sum ~init b ~pos ~len] folds the 16-bit one's-complement sum of
+    [len] bytes of [b] starting at [pos] into [init]. The result
     is an unfolded 32-bit-ish accumulator suitable for chaining over several
     regions (e.g. pseudo-header then payload). *)
 

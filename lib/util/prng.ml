@@ -1,35 +1,46 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives unboxed in 8 bytes: with a [mutable int64]
+   field every draw would box a fresh Int64. [mix] and [next] are inlined
+   into each draw, so [int], [bool] and [byte] allocate nothing. *)
+type t = Bytes.t
+
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
 
 let golden = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create ~seed = { state = mix (Int64.of_int seed) }
+let[@inline] of_state s =
+  let t = Bytes.create 8 in
+  set_state t 0 s;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden;
-  mix t.state
+let[@inline] next t =
+  let s = Int64.add (get_state t 0) golden in
+  set_state t 0 s;
+  mix s
 
-let split t = { state = bits64 t }
+(* uniform in [0, 1): the top 53 bits over 2^53 *)
+let[@inline] unit_float t =
+  Int64.to_float (Int64.shift_right_logical (next t) 11) /. 9007199254740992.0
+
+let create ~seed = of_state (mix (Int64.of_int seed))
+let bits64 t = next t
+let split t = of_state (next t)
 
 let int t n =
   if n <= 0 then invalid_arg "Prng.int: bound must be positive";
-  let v = Int64.to_int (bits64 t) land max_int in
-  v mod n
+  (Int64.to_int (next t) land max_int) mod n
 
-let float t =
-  let v = Int64.shift_right_logical (bits64 t) 11 in
-  Int64.to_float v /. 9007199254740992.0 (* 2^53 *)
-
-let bool t p = float t < p
-
+let float t = unit_float t
+let bool t p = unit_float t < p
 let byte t = int t 256
 
 let exponential t ~mean =
-  let u = float t in
+  let u = unit_float t in
   let u = if u <= 0.0 then 1e-12 else u in
   -.mean *. log u
 

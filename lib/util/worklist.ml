@@ -60,6 +60,10 @@ let clear t =
 let is_empty t = t.n = 0
 let length t = t.n
 
+let get t i =
+  if i < 0 || i >= t.n then invalid_arg "Worklist.get: index out of range";
+  Array.unsafe_get t.items i
+
 (* In-place insertion sort over the member vector: ids are appended in
    roughly ascending order, so this is near-linear in practice. *)
 let sort t =
@@ -71,11 +75,6 @@ let sort t =
       decr j
     done;
     t.items.(!j + 1) <- v
-  done
-
-let iter f t =
-  for i = 0 to t.n - 1 do
-    f t.items.(i)
   done
 
 let to_list t = List.init t.n (fun i -> t.items.(i))

@@ -24,11 +24,13 @@ val clear : t -> unit
 val is_empty : t -> bool
 val length : t -> int
 
+val get : t -> int -> int
+(** [get t i] is the [i]-th member in insertion (or, after {!sort},
+    ascending) order; the cascade walks its worklists this way, without
+    a closure. @raise Invalid_argument unless [0 <= i < length t]. *)
+
 val sort : t -> unit
 (** Sort the members ascending, in place (insertion sort — members arrive
     nearly sorted). *)
-
-val iter : (int -> unit) -> t -> unit
-(** Members in insertion (or, after {!sort}, ascending) order. *)
 
 val to_list : t -> int list

@@ -291,6 +291,76 @@ END
   | Some n -> check Alcotest.bool "observed the stream" true (n >= 50)
   | None -> Alcotest.fail "no DATA counter")
 
+(* --- the Figure 8 echo path allocates a bounded number of words --- *)
+
+(* The Section 7 UDP-overhead configuration: 23 filters that never match,
+   then the ping/pong pair, and one rules-only counter. *)
+let figure8_script =
+  let pads =
+    String.concat ""
+      (List.init 23 (fun k -> Printf.sprintf "pad%d: (34 2 0x%x)\n" k (0xe000 + k)))
+  in
+  "FILTER_TABLE\n" ^ pads
+  ^ "udp_ping: (34 2 0x1388), (36 2 0x1389)\n"
+  ^ "udp_pong: (34 2 0x1389), (36 2 0x1388)\nEND\n"
+  ^ "NODE_TABLE\nnode1 02:00:00:00:00:01 10.0.0.1\n\
+     node2 02:00:00:00:00:02 10.0.0.2\nEND\n"
+  ^ "SCENARIO fig8_overhead\nPING: (udp_ping, node1, node2, RECV)\n\
+     (TRUE) >> ENABLE_CNTR( PING );\nEND\n"
+
+(* One UDP echo round trip on the two-node star with the flight recorder
+   on allocates at most [words_per_round_trip] minor words: the event
+   entries, the wire copies and the decoded records, not a box per PRNG
+   draw, a closure per scheduled frame or a rebuilt hook list.
+   [Gc.minor_words] is exact between collections, unlike [Gc.quick_stat]. *)
+let words_per_round_trip = 700.0
+
+let test_echo_round_trip_allocation () =
+  let specs =
+    [
+      ("node1", Vw_net.Mac.of_int 1, Vw_net.Ip_addr.of_host_index 1);
+      ("node2", Vw_net.Mac.of_int 2, Vw_net.Ip_addr.of_host_index 2);
+    ]
+  in
+  let config = { Testbed.default_config with seed = 1; trace_capacity = 16 } in
+  let testbed = Testbed.create ~config specs in
+  Testbed.enable_observability ~capacity:16384 testbed;
+  (match Scenario.deploy_only testbed ~script:figure8_script with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "deploy: %s" e);
+  let engine = Testbed.engine testbed in
+  Testbed.run testbed ~until:Simtime.(Engine.now engine + Simtime.ms 8) ();
+  let alice = Testbed.host (Testbed.node testbed "node1") in
+  let bob = Testbed.host (Testbed.node testbed "node2") in
+  Host.udp_bind bob ~port:0x1389 (fun ~src ~src_port payload ->
+      Host.udp_send bob ~src_port:0x1389 ~dst:src ~dst_port:src_port payload);
+  let answered = ref false in
+  Host.udp_bind alice ~port:0x1388 (fun ~src:_ ~src_port:_ _ -> answered := true);
+  let payload = Bytes.make 64 'e' in
+  let round_trip () =
+    answered := false;
+    Host.udp_send alice ~src_port:0x1388 ~dst:(Host.ip bob) ~dst_port:0x1389
+      payload;
+    while not !answered do
+      if not (Engine.step engine) then Alcotest.fail "echo ran dry"
+    done
+  in
+  for _ = 1 to 500 do
+    round_trip ()
+  done;
+  let n = 2000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    round_trip ()
+  done;
+  let per = (Gc.minor_words () -. w0) /. float_of_int n in
+  let fie2 = Testbed.fie (Testbed.node testbed "node2") in
+  check Alcotest.(option int) "every ping counted" (Some (500 + n))
+    (Fie.counter_value fie2 "PING");
+  if per > words_per_round_trip then
+    Alcotest.failf "%.1f minor words per echo round trip (bound %.0f)" per
+      words_per_round_trip
+
 let suite =
   [
     ( "integration.figure5",
@@ -321,5 +391,10 @@ let suite =
           test_script_reuse_across_versions;
         Alcotest.test_case "observation-only scenario is transparent" `Quick
           test_transparent_when_no_faults_armed;
+      ] );
+    ( "integration.alloc",
+      [
+        Alcotest.test_case "echo round trip allocation bound" `Quick
+          test_echo_round_trip_allocation;
       ] );
   ]

@@ -112,6 +112,72 @@ let test_link_down () =
   Engine.run engine;
   check Alcotest.int "nothing delivered" 0 !received
 
+(* Frames of mixed sizes sent back to back arrive in order, the k-th at
+   propagation + the serialization times of frames 0..k (80 ns a byte at
+   100 Mbps). Twenty frames also outgrow the direction's initial ring. *)
+let test_back_to_back_mixed_sizes () =
+  let engine = Engine.create () in
+  let link = Link.create engine (full_duplex ()) in
+  let sizes = [ 1500; 64; 800; 64; 1000; 300; 60; 1514; 128; 64 ] in
+  let sizes = sizes @ List.rev sizes in
+  let arrivals = ref [] in
+  Link.set_receive (Link.endpoint_b link) (fun data ->
+      arrivals := (Char.code (Bytes.get data 0), Engine.now engine) :: !arrivals);
+  List.iteri
+    (fun i n ->
+      let frame = frame_of_size n in
+      Bytes.set frame 0 (Char.chr i);
+      Link.send (Link.endpoint_a link) frame)
+    sizes;
+  Engine.run engine;
+  let expected =
+    List.rev
+      (snd
+         (List.fold_left
+            (fun (i, acc) n ->
+              let done_at =
+                match acc with [] -> 0 | (_, t) :: _ -> t - Simtime.us 5
+              in
+              (i + 1, (i, done_at + (n * 80) + Simtime.us 5) :: acc))
+            (0, []) sizes))
+  in
+  check
+    Alcotest.(list (pair int int))
+    "order and arrival times" expected (List.rev !arrivals)
+
+(* A cable pulled mid-transmission: the frame already propagating still
+   arrives, the one whose serialization ends while down is lost, one sent
+   while down is dropped at the NIC, and the one finishing after the cable
+   is back is delivered. *)
+let test_link_down_mid_transmission () =
+  let engine = Engine.create () in
+  let link = Link.create engine (full_duplex ()) in
+  let arrivals = ref [] in
+  Link.set_receive (Link.endpoint_b link) (fun data ->
+      arrivals := (Char.code (Bytes.get data 0), Engine.now engine) :: !arrivals);
+  let send i =
+    let frame = frame_of_size 1000 in
+    Bytes.set frame 0 (Char.chr i);
+    Link.send (Link.endpoint_a link) frame
+  in
+  (* serializations end at 80, 160 and 240 us *)
+  send 0;
+  send 1;
+  send 2;
+  let at t f = ignore (Engine.schedule_at engine ~time:(Simtime.us t) f) in
+  at 82 (fun () -> Link.set_down link true);
+  at 120 (fun () -> send 3);
+  at 200 (fun () -> Link.set_down link false);
+  Engine.run engine;
+  check
+    Alcotest.(list (pair int int))
+    "survivors" [ (0, Simtime.us 85); (2, Simtime.us 245) ] (List.rev !arrivals);
+  let stats = Link.stats link in
+  check Alcotest.int "sent" 4 stats.Media_stats.sent;
+  check Alcotest.int "delivered" 2 stats.Media_stats.delivered;
+  check Alcotest.int "no loss or queue drops counted" 0
+    (stats.Media_stats.dropped_loss + stats.Media_stats.dropped_queue)
+
 (* --- half-duplex bus: contention --- *)
 
 let bus_config =
@@ -240,6 +306,20 @@ let test_switch_filters_same_port () =
   Engine.run engine;
   check Alcotest.bool "filtered" true ((Switch.stats sw).Switch.filtered >= 1)
 
+(* [learned_ports] lists every source MAC with the port it was seen on. *)
+let test_switch_learned_ports () =
+  let engine = Engine.create () in
+  let sw, eps = star engine 3 in
+  Link.send eps.(2) (eth_frame ~src:(mac 2) ~dst:Vw_net.Mac.broadcast);
+  Link.send eps.(0) (eth_frame ~src:(mac 0) ~dst:(mac 2));
+  Link.send eps.(1) (eth_frame ~src:(mac 7) ~dst:(mac 0));
+  Engine.run engine;
+  check
+    Alcotest.(list (pair string int))
+    "learned"
+    [ ("02:00:00:00:00:00", 0); ("02:00:00:00:00:02", 2); ("02:00:00:00:00:07", 1) ]
+    (List.map (fun (m, p) -> (Vw_net.Mac.to_string m, p)) (Switch.learned_ports sw))
+
 let suite =
   [
     ( "link.p2p",
@@ -251,6 +331,10 @@ let suite =
         Alcotest.test_case "corruption" `Quick test_corruption;
         Alcotest.test_case "queue overflow" `Quick test_queue_overflow;
         Alcotest.test_case "link down" `Quick test_link_down;
+        Alcotest.test_case "back-to-back mixed sizes" `Quick
+          test_back_to_back_mixed_sizes;
+        Alcotest.test_case "link down mid-transmission" `Quick
+          test_link_down_mid_transmission;
       ] );
     ( "link.bus",
       [
@@ -265,5 +349,6 @@ let suite =
         Alcotest.test_case "learns ports" `Quick test_switch_learns;
         Alcotest.test_case "broadcast" `Quick test_switch_broadcast;
         Alcotest.test_case "same-port filter" `Quick test_switch_filters_same_port;
+        Alcotest.test_case "learned ports" `Quick test_switch_learned_ports;
       ] );
   ]

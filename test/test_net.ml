@@ -131,6 +131,60 @@ let test_udp_corrupt_payload () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "corrupt payload accepted"
 
+(* The arithmetic pseudo-header sum equals the one's-complement sum of
+   the serialized 12-byte pseudo-header, high-bit addresses included. *)
+let prop_pseudo_header_sum =
+  QCheck.Test.make ~name:"pseudo-header sum = sum of its bytes" ~count:300
+    QCheck.(quad int32 int32 (int_bound 255) (int_bound 0xffff))
+    (fun (s, d, protocol, length) ->
+      let src = Ip_addr.of_int32 s and dst = Ip_addr.of_int32 d in
+      let ph = Bytes.make 12 '\000' in
+      Ip_addr.write src ph ~pos:0;
+      Ip_addr.write dst ph ~pos:4;
+      Bytes.set ph 9 (Char.chr protocol);
+      Hex.set_int_be ph ~pos:10 ~len:2 length;
+      Vw_util.Checksum.ones_sum ~init:0 ph ~pos:0 ~len:12
+      = Udp.pseudo_header_sum ~src ~dst ~protocol ~length)
+
+(* Lengths are 16-bit fields: an encoder must refuse what they cannot
+   describe rather than wrap it. *)
+let test_oversize_rejected () =
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: oversize accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  let udp n = Udp.make ~src_port:1 ~dst_port:2 (Bytes.create n) in
+  check Alcotest.int "largest datagram" Udp.max_size
+    (Bytes.length (Udp.to_bytes ~src:ip1 ~dst:ip2 (udp (Udp.max_size - 8))));
+  raises "udp" (fun () -> Udp.to_bytes ~src:ip1 ~dst:ip2 (udp (Udp.max_size - 7)));
+  let ip n = Ipv4.make ~protocol:Ipv4.protocol_udp ~src:ip1 ~dst:ip2 (Bytes.create n) in
+  check Alcotest.int "largest packet" Ipv4.max_size
+    (Bytes.length (Ipv4.to_bytes (ip (Ipv4.max_size - 20))));
+  raises "ipv4" (fun () -> Ipv4.to_bytes (ip (Ipv4.max_size - 19)));
+  raises "ipv4 header_buffer" (fun () ->
+      Ipv4.header_buffer ~tos:0 ~ttl:64 ~ident:0 ~protocol:17 ~src:ip1 ~dst:ip2
+        ~payload_len:(Ipv4.max_size - 19))
+
+(* [Ipv4.header_buffer] + [Udp.write] (the stack's single-copy UDP send)
+   produce exactly [Ipv4.to_bytes] of [Udp.to_bytes]. *)
+let test_single_copy_encode () =
+  let payload = Bytes.of_string "single copy" in
+  let d = Udp.make ~src_port:0x1388 ~dst_port:0x1389 payload in
+  let two_copies =
+    Ipv4.to_bytes
+      (Ipv4.make ~ttl:64 ~ident:7 ~protocol:Ipv4.protocol_udp ~src:ip1 ~dst:ip2
+         (Udp.to_bytes ~src:ip1 ~dst:ip2 d))
+  in
+  let one_copy =
+    Ipv4.header_buffer ~tos:0 ~ttl:64 ~ident:7 ~protocol:Ipv4.protocol_udp
+      ~src:ip1 ~dst:ip2
+      ~payload_len:(Udp.header_size + Bytes.length payload)
+  in
+  Udp.write ~src:ip1 ~dst:ip2 ~src_port:0x1388 ~dst_port:0x1389 payload one_copy
+    ~pos:Ipv4.header_size;
+  check Alcotest.bytes "same packet" two_copies one_copy
+
 (* --- Tcp_segment --- *)
 
 let all_flags =
@@ -307,6 +361,9 @@ let suite =
           test_udp_wrong_pseudo_header;
         Alcotest.test_case "corrupt payload detected" `Quick test_udp_corrupt_payload;
         qtest prop_udp_roundtrip;
+        qtest prop_pseudo_header_sum;
+        Alcotest.test_case "oversize rejected at encode" `Quick test_oversize_rejected;
+        Alcotest.test_case "single-copy encode" `Quick test_single_copy_encode;
       ] );
     ( "net.tcp_segment",
       [

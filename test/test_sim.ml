@@ -153,6 +153,27 @@ let prop_cancelled_never_fire =
         (fun (_, cancel, i) -> if cancel then not (Hashtbl.mem fired i) else Hashtbl.mem fired i)
         handles)
 
+let test_empty_queue_pop_raises () =
+  let q = Vw_sim.Event_queue.create () in
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s on an empty queue returned" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "earliest_time" (fun () -> Vw_sim.Event_queue.earliest_time q);
+  raises "take" (fun () -> Vw_sim.Event_queue.take q);
+  ignore (Vw_sim.Event_queue.push q ~time:7 "x");
+  check Alcotest.int "earliest" 7 (Vw_sim.Event_queue.earliest_time q);
+  check Alcotest.string "take" "x" (Vw_sim.Event_queue.take q);
+  check Alcotest.bool "empty again" true (Vw_sim.Event_queue.is_empty q)
+
+(* One pop through the queue's two-call pop path; [None] when empty. *)
+let pop queue =
+  if Vw_sim.Event_queue.is_empty queue then None
+  else
+    let time = Vw_sim.Event_queue.earliest_time queue in
+    Some (time, Vw_sim.Event_queue.take queue)
+
 (* model-based test of the event queue: a random push/pop/cancel trace must
    agree with a naive sorted-list reference implementation *)
 let prop_event_queue_matches_model =
@@ -201,7 +222,7 @@ let prop_event_queue_matches_model =
                         if t < bt || (t = bt && id < bid) then Some e else best)
                   None live
               in
-              match (Vw_sim.Event_queue.pop queue, expected) with
+              match (pop queue, expected) with
               | None, None -> ()
               | Some (t, id), Some (et, eid, alive) ->
                   if t <> et || id <> eid then ok := false else alive := false
@@ -210,7 +231,7 @@ let prop_event_queue_matches_model =
       (* drain both and compare the tails *)
       let rec drain () =
         let live = List.filter (fun (_, _, alive) -> !alive) !model in
-        match Vw_sim.Event_queue.pop queue with
+        match pop queue with
         | None -> live = []
         | Some (t, id) -> (
             match
@@ -237,6 +258,8 @@ let suite =
         Alcotest.test_case "chronological order" `Quick test_event_order;
         Alcotest.test_case "FIFO tie-break" `Quick test_fifo_ties;
         Alcotest.test_case "cancel" `Quick test_cancel;
+        Alcotest.test_case "empty queue pop raises" `Quick
+          test_empty_queue_pop_raises;
         Alcotest.test_case "run until" `Quick test_run_until;
         Alcotest.test_case "schedule from callback" `Quick test_schedule_from_callback;
         Alcotest.test_case "past schedule clamps to now" `Quick test_past_schedule_clamps;

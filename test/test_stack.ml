@@ -69,6 +69,25 @@ let test_nic_mac_filter () =
   check Alcotest.int "filtered by NIC" 0 !got;
   check Alcotest.int "b received nothing" 0 (Host.frames_received b)
 
+(* The largest datagram IPv4 can carry arrives intact; one byte more is
+   refused at the sender instead of leaving with wrapped length fields. *)
+let test_udp_max_datagram () =
+  let engine, a, b = pair () in
+  let got = ref None in
+  Host.udp_bind b ~port:9 (fun ~src:_ ~src_port:_ payload -> got := Some payload);
+  let largest = Bytes.init 65507 (fun i -> Char.chr (i land 0xff)) in
+  Host.udp_send a ~src_port:1 ~dst:(ip 2) ~dst_port:9 largest;
+  Engine.run engine;
+  (match !got with
+  | Some p -> check Alcotest.bool "65507 bytes intact" true (Bytes.equal p largest)
+  | None -> Alcotest.fail "largest datagram not delivered");
+  let sent = Host.frames_sent a in
+  (match Host.udp_send a ~src_port:1 ~dst:(ip 2) ~dst_port:9 (Bytes.create 65508) with
+  | () -> Alcotest.fail "65508-byte payload accepted"
+  | exception Invalid_argument _ -> ());
+  Engine.run engine;
+  check Alcotest.int "nothing sent" sent (Host.frames_sent a)
+
 (* --- hooks --- *)
 
 let test_hook_egress_order_and_drop () =
@@ -162,6 +181,109 @@ let test_remove_hook () =
   Engine.run engine;
   check Alcotest.int "delivered after removal" 1 !got
 
+(* A hook added or removed between two sends changes the second send's
+   chain, in both directions. *)
+let test_hook_change_between_sends () =
+  let engine, a, b = pair () in
+  let seen = ref [] in
+  let log name frame =
+    seen := name :: !seen;
+    Hook.Accept frame
+  in
+  Host.udp_bind b ~port:9 (fun ~src:_ ~src_port:_ _ -> ());
+  let send () =
+    Host.udp_send a ~src_port:1 ~dst:(ip 2) ~dst_port:9 (Bytes.create 1);
+    Engine.run engine;
+    let s = List.rev !seen in
+    seen := [];
+    s
+  in
+  let out1 = Host.add_hook a Hook.Egress ~priority:100 ~name:"out1" (log "out1") in
+  let in1 = Host.add_hook b Hook.Ingress ~priority:100 ~name:"in1" (log "in1") in
+  check (Alcotest.list Alcotest.string) "first send" [ "out1"; "in1" ] (send ());
+  Host.remove_hook a out1;
+  Host.remove_hook b in1;
+  ignore (Host.add_hook a Hook.Egress ~priority:150 ~name:"out2" (log "out2"));
+  ignore (Host.add_hook b Hook.Ingress ~priority:50 ~name:"in2" (log "in2"));
+  check (Alcotest.list Alcotest.string) "second send re-routed" [ "out2"; "in2" ]
+    (send ())
+
+(* After [Fie.uninstall] the FIE's hooks are gone and the others still run,
+   in order. *)
+let test_fie_uninstall_keeps_other_hooks () =
+  let engine, a, b = pair () in
+  let seen = ref [] in
+  let log name frame =
+    seen := name :: !seen;
+    Hook.Accept frame
+  in
+  ignore (Host.add_hook a Hook.Egress ~priority:50 ~name:"e50" (log "e50"));
+  ignore (Host.add_hook a Hook.Egress ~priority:150 ~name:"e150" (log "e150"));
+  let fie = Vw_engine.Fie.install a in
+  ignore (Host.add_hook a Hook.Egress ~priority:250 ~name:"e250" (log "e250"));
+  Host.udp_bind b ~port:9 (fun ~src:_ ~src_port:_ _ -> ());
+  let send () =
+    Host.udp_send a ~src_port:1 ~dst:(ip 2) ~dst_port:9 (Bytes.create 1);
+    Engine.run engine
+  in
+  send ();
+  check Alcotest.int "FIE inspected" 1
+    (Vw_engine.Fie.stats fie).Vw_engine.Fie.packets_inspected;
+  Vw_engine.Fie.uninstall fie;
+  seen := [];
+  send ();
+  check (Alcotest.list Alcotest.string) "remaining hooks, in order"
+    [ "e50"; "e150"; "e250" ] (List.rev !seen);
+  check Alcotest.int "FIE no longer inspects" 1
+    (Vw_engine.Fie.stats fie).Vw_engine.Fie.packets_inspected
+
+(* [reinject ~from_priority] resumes the chain strictly beyond that
+   priority: above it on egress, below it on ingress. *)
+let test_reinject_skips_through_priority () =
+  let engine, a, b = pair () in
+  let seen = ref [] in
+  let log name frame =
+    seen := name :: !seen;
+    Hook.Accept frame
+  in
+  List.iter
+    (fun p ->
+      let name = Printf.sprintf "%d" p in
+      ignore (Host.add_hook a Hook.Egress ~priority:p ~name (log ("e" ^ name)));
+      ignore (Host.add_hook b Hook.Ingress ~priority:p ~name (log ("i" ^ name))))
+    [ 50; 100; 150; 200 ];
+  let got = ref 0 in
+  Host.udp_bind b ~port:9 (fun ~src:_ ~src_port:_ _ -> incr got);
+  let frame = ref None in
+  ignore
+    (Host.add_hook b Hook.Ingress ~priority:300 ~name:"catch" (fun f ->
+         if !frame = None then begin
+           frame := Some f;
+           Hook.Stolen
+         end
+         else Hook.Accept f));
+  Host.udp_send a ~src_port:1 ~dst:(ip 2) ~dst_port:9 (Bytes.create 1);
+  Engine.run engine;
+  check (Alcotest.list Alcotest.string) "full egress chain"
+    [ "e50"; "e100"; "e150"; "e200" ] (List.rev !seen);
+  let f = Option.get !frame in
+  seen := [];
+  Host.reinject b Hook.Ingress ~from_priority:150 f;
+  check (Alcotest.list Alcotest.string) "ingress beyond 150" [ "i100"; "i50" ]
+    (List.rev !seen);
+  check Alcotest.int "delivered" 1 !got;
+  seen := [];
+  Host.reinject a Hook.Egress ~from_priority:100 f;
+  Engine.run engine;
+  check (Alcotest.list Alcotest.string) "egress beyond 100, then b's ingress"
+    [ "e150"; "e200"; "i200"; "i150"; "i100"; "i50" ] (List.rev !seen);
+  seen := [];
+  Host.reinject a Hook.Egress ~from_priority:200 f;
+  Engine.run engine;
+  check (Alcotest.list Alcotest.string) "beyond every egress hook"
+    [ "i200"; "i150"; "i100"; "i50" ] (List.rev !seen);
+  check Alcotest.int "all three delivered" 3 !got
+
 (* --- timers --- *)
 
 let test_timer_jiffy_quantization () =
@@ -245,6 +367,7 @@ let suite =
         Alcotest.test_case "echo roundtrip" `Quick test_udp_echo_roundtrip;
         Alcotest.test_case "bind conflict" `Quick test_udp_bind_conflict;
         Alcotest.test_case "NIC MAC filter" `Quick test_nic_mac_filter;
+        Alcotest.test_case "largest datagram" `Quick test_udp_max_datagram;
       ] );
     ( "stack.hooks",
       [
@@ -253,6 +376,12 @@ let suite =
         Alcotest.test_case "transforming hook" `Quick test_hook_transform;
         Alcotest.test_case "steal and reinject" `Quick test_hook_steal_reinject;
         Alcotest.test_case "remove hook" `Quick test_remove_hook;
+        Alcotest.test_case "hook change between sends" `Quick
+          test_hook_change_between_sends;
+        Alcotest.test_case "FIE uninstall keeps other hooks" `Quick
+          test_fie_uninstall_keeps_other_hooks;
+        Alcotest.test_case "reinject skips through priority" `Quick
+          test_reinject_skips_through_priority;
       ] );
     ( "stack.timers",
       [

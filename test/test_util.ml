@@ -191,6 +191,45 @@ let test_worklist_basics () =
   check Alcotest.bool "bits cleared too" false (Worklist.mem w 3);
   check Alcotest.bool "reusable after clear" true (Worklist.add w 3)
 
+let test_worklist_get () =
+  let w = Worklist.create 4 in
+  List.iter (fun id -> ignore (Worklist.add w id)) [ 5; 2; 9 ];
+  check (Alcotest.list Alcotest.int) "get walks insertion order" [ 5; 2; 9 ]
+    (List.init (Worklist.length w) (Worklist.get w));
+  match Worklist.get w 3 with
+  | _ -> Alcotest.fail "get past the end returned"
+  | exception Invalid_argument _ -> ()
+
+(* --- Ring --- *)
+
+(* FIFO across growth and wrap-around, against a Queue model. *)
+let prop_ring_is_fifo =
+  QCheck.Test.make ~name:"ring == Queue" ~count:300
+    QCheck.(list_of_size (Gen.int_range 0 120) (option small_nat))
+    (fun ops ->
+      let r = Vw_util.Ring.create ~dummy:(-1) and q = Queue.create () in
+      List.for_all
+        (function
+          | Some x ->
+              Vw_util.Ring.add r x;
+              Queue.add x q;
+              Vw_util.Ring.length r = Queue.length q
+          | None ->
+              if Queue.is_empty q then Vw_util.Ring.is_empty r
+              else
+                Vw_util.Ring.peek r = Queue.peek q
+                && Vw_util.Ring.take r = Queue.pop q)
+        ops)
+
+let test_ring_empty_raises () =
+  let r = Vw_util.Ring.create ~dummy:"" in
+  (match Vw_util.Ring.take r with
+  | _ -> Alcotest.fail "take on empty returned"
+  | exception Invalid_argument _ -> ());
+  match Vw_util.Ring.peek r with
+  | _ -> Alcotest.fail "peek on empty returned"
+  | exception Invalid_argument _ -> ()
+
 let prop_worklist_is_sort_uniq =
   QCheck.Test.make ~name:"worklist sort == List.sort_uniq" ~count:300
     QCheck.(list_of_size (Gen.int_range 0 60) (int_bound 80))
@@ -199,6 +238,41 @@ let prop_worklist_is_sort_uniq =
       List.iter (fun id -> ignore (Worklist.add w id)) ids;
       Worklist.sort w;
       Worklist.to_list w = List.sort_uniq compare ids)
+
+(* Known answers for the SplitMix64 stream: every golden, fuzz journal and
+   regression replay depends on these exact draws. Seed 0's first output is
+   the reference SplitMix64 value. *)
+let test_prng_known_answers () =
+  let first8 seed =
+    let g = Prng.create ~seed in
+    List.init 8 (fun _ -> Prng.bits64 g)
+  in
+  check
+    Alcotest.(list int64)
+    "seed 0"
+    [
+      0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x06c45d188009454fL;
+      0xf88bb8a8724c81ecL; 0x1b39896a51a8749bL; 0x53cb9f0c747ea2eaL;
+      0x2c829abe1f4532e1L; 0xc584133ac916ab3cL;
+    ]
+    (first8 0);
+  check
+    Alcotest.(list int64)
+    "seed 42"
+    [
+      0x989b3f130a063869L; 0x290db4bf2570ded7L; 0x2a990be63a01b2d5L;
+      0x0c4b6b24ef01890eL; 0xfb16a06e52ec10a7L; 0x3c30fc5fd50692c3L;
+      0x4782c4b4c4fdf7c9L; 0x272404a0a3926552L;
+    ]
+    (first8 42);
+  let g = Prng.create ~seed:42 in
+  check Alcotest.int "int" 473 (Prng.int g 1000);
+  check Alcotest.int64 "float bits" 0x3fc486da5f92b86cL
+    (Int64.bits_of_float (Prng.float g));
+  check Alcotest.bool "bool" true (Prng.bool g 0.5);
+  let child = Prng.split g in
+  check Alcotest.int64 "split child" 0xf72aa72b5007beffL (Prng.bits64 child);
+  check Alcotest.int64 "split parent" 0xfb16a06e52ec10a7L (Prng.bits64 g)
 
 let suite =
   [
@@ -227,6 +301,7 @@ let suite =
         Alcotest.test_case "int range" `Quick test_prng_int_range;
         Alcotest.test_case "bool bias" `Quick test_prng_bool_bias;
         Alcotest.test_case "float range" `Quick test_prng_float_range;
+        Alcotest.test_case "known answers" `Quick test_prng_known_answers;
       ] );
     ( "util.stats",
       [
@@ -238,6 +313,12 @@ let suite =
     ( "util.worklist",
       [
         Alcotest.test_case "dedup / order / clear" `Quick test_worklist_basics;
+        Alcotest.test_case "get by index" `Quick test_worklist_get;
         qtest prop_worklist_is_sort_uniq;
+      ] );
+    ( "util.ring",
+      [
+        qtest prop_ring_is_fifo;
+        Alcotest.test_case "empty raises" `Quick test_ring_empty_raises;
       ] );
   ]
