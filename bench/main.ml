@@ -256,10 +256,12 @@ let ping_eth =
   Vw_net.Eth.make ~dst:(Vw_net.Mac.of_int 2) ~src:(Vw_net.Mac.of_int 1)
     ~ethertype:Vw_net.Eth.ethertype_ipv4 ip
 
-(* Adversarial tables: the index's worst cases, not its best. 1000
-   singleton buckets stress the dispatch itself; a single shared bucket
-   degenerates the indexed scan to the linear one; an all-masked table
-   lands everything in the always-scanned fallback. *)
+(* Adversarial tables: the index's worst cases, not its best. 1000 and
+   10k singleton buckets stress the dispatch itself; a single shared
+   bucket (256 or 1000 filters) degenerates the indexed scan to the
+   linear one — 1k shared against 10k singleton is the cliff a
+   multi-field index must close; an all-masked table lands everything in
+   the always-scanned fallback. *)
 let adversarial_tables () =
   let compile src =
     match Vw_fsl.Compile.parse_and_compile src with
@@ -267,57 +269,51 @@ let adversarial_tables () =
     | Error e -> failwith e
   in
   ( compile (Workload.udp_overhead_script ~n_filters:1000 ~actions:false),
+    compile (Workload.big_singleton_script ~n_filters:10_000),
     compile (Workload.shared_bucket_script ~n_filters:256),
+    compile (Workload.shared_bucket_script ~n_filters:1000),
     compile (Workload.masked_fallback_script ~n_filters:256) )
 
 let is_adversarial name =
   String.length name >= 7 && String.sub name 3 4 = "adv/"
 
-(* ns/op per benchmark name, via bechamel OLS *)
+(* ns/op per benchmark name, via bechamel OLS. The indexed rows run the
+   engine's classifier ([classify_fid] over the compiled tables, reading
+   the frame in place); the linear rows run the reference scan over the
+   serialized frame. *)
 let micro_classify_results () =
   let open Bechamel in
   let open Toolkit in
   let t1 = micro_tables 1
   and t25 = micro_tables 25
   and t100 = micro_tables 100 in
-  let t1k, tshared, tmasked = adversarial_tables () in
+  let t1k, t10k, tshared, tshared1k, tmasked = adversarial_tables () in
   let bindings = [||] in
   let ping_frame = Vw_net.Eth.to_bytes ping_eth in
+  let stats = Vw_engine.Classifier.new_scan_stats () in
+  let indexed t =
+    let c = Vw_fsl.Tables.compile t in
+    Staged.stage (fun () ->
+        Vw_engine.Classifier.classify_fid stats c ~bindings ping_eth)
+  in
+  let linear t =
+    Staged.stage (fun () ->
+        Vw_engine.Classifier.classify_linear t ~bindings ping_frame)
+  in
   let tests =
     [
-      Test.make ~name:"classify/1-filter"
-        (Staged.stage (fun () ->
-             Vw_engine.Classifier.classify t1 ~bindings ping_frame));
-      Test.make ~name:"classify/25-linear"
-        (Staged.stage (fun () ->
-             Vw_engine.Classifier.classify_linear t25 ~bindings ping_frame));
-      Test.make ~name:"classify/25-indexed"
-        (Staged.stage (fun () ->
-             Vw_engine.Classifier.classify t25 ~bindings ping_frame));
-      Test.make ~name:"classify/25-frame"
-        (Staged.stage (fun () ->
-             Vw_engine.Classifier.classify_frame t25 ~bindings ping_eth));
-      Test.make ~name:"classify/100-linear"
-        (Staged.stage (fun () ->
-             Vw_engine.Classifier.classify_linear t100 ~bindings ping_frame));
-      Test.make ~name:"classify/100-indexed"
-        (Staged.stage (fun () ->
-             Vw_engine.Classifier.classify t100 ~bindings ping_frame));
-      Test.make ~name:"adv/1k-singleton-indexed"
-        (Staged.stage (fun () ->
-             Vw_engine.Classifier.classify t1k ~bindings ping_frame));
-      Test.make ~name:"adv/1k-singleton-linear"
-        (Staged.stage (fun () ->
-             Vw_engine.Classifier.classify_linear t1k ~bindings ping_frame));
-      Test.make ~name:"adv/256-shared-bucket-indexed"
-        (Staged.stage (fun () ->
-             Vw_engine.Classifier.classify tshared ~bindings ping_frame));
-      Test.make ~name:"adv/256-shared-bucket-linear"
-        (Staged.stage (fun () ->
-             Vw_engine.Classifier.classify_linear tshared ~bindings ping_frame));
-      Test.make ~name:"adv/256-masked-fallback-indexed"
-        (Staged.stage (fun () ->
-             Vw_engine.Classifier.classify tmasked ~bindings ping_frame));
+      Test.make ~name:"classify/1-filter" (indexed t1);
+      Test.make ~name:"classify/25-linear" (linear t25);
+      Test.make ~name:"classify/25-indexed" (indexed t25);
+      Test.make ~name:"classify/100-linear" (linear t100);
+      Test.make ~name:"classify/100-indexed" (indexed t100);
+      Test.make ~name:"adv/1k-singleton-indexed" (indexed t1k);
+      Test.make ~name:"adv/1k-singleton-linear" (linear t1k);
+      Test.make ~name:"adv/10k-singleton-indexed" (indexed t10k);
+      Test.make ~name:"adv/256-shared-bucket-indexed" (indexed tshared);
+      Test.make ~name:"adv/256-shared-bucket-linear" (linear tshared);
+      Test.make ~name:"adv/1k-shared-bucket-indexed" (indexed tshared1k);
+      Test.make ~name:"adv/256-masked-fallback-indexed" (indexed tmasked);
       Test.make ~name:"fsl/parse-figure5"
         (Staged.stage (fun () -> Vw_fsl.Parser.parse Vw_scripts.tcp_ss_ca));
       Test.make ~name:"fsl/compile-figure5"
@@ -350,17 +346,13 @@ let micro_classify_results () =
    host wall-clock time by the packets the two engines inspected. The
    actions:true/actions:false delta isolates the cascade cost per matched
    packet. *)
-let micro_pipeline ?obs ?(samples = 2000) ~actions () =
+let micro_pipeline ?(obs = false) ?(samples = 2000) ~actions () =
   let testbed =
     Workload.make_testbed (Workload.Vw { n_filters = 25; actions })
   in
   (* the recorder must be wired in before INIT traffic so the on/off
-     ablation measures identical deployments; the mode picks the sink —
-     Binary is the production vw-events/2 ring, Typed the legacy boxed
-     array whose per-event cost the jsonl row prices *)
-  (match obs with
-  | None -> ()
-  | Some mode -> Testbed.enable_observability ~mode testbed);
+     ablation measures identical deployments *)
+  if obs then Testbed.enable_observability testbed;
   Workload.deploy_overhead
     ~script:(Workload.udp_overhead_script ~n_filters:25 ~actions)
     testbed;
@@ -383,136 +375,6 @@ let micro_pipeline ?obs ?(samples = 2000) ~actions () =
   ignore (Stats.mean rtts);
   (wall, packets, ns_per_packet, pps)
 
-(* ------------------------------------------------------------------ *)
-(* Batched hot path: Fie.process_batch throughput, batch-size sweep     *)
-(* ------------------------------------------------------------------ *)
-
-(* One timed run: an arena of [batch] copies of the probe frame pushed
-   through node2's ingress engine until ~[packets] frames have been
-   processed. Host wall clock; verdicts discarded (the engine, not the
-   wire, is under measurement). *)
-let batch_run fie ~frame ~batch ~packets =
-  let arena = Vw_engine.Arena.create ~capacity:batch () in
-  for _ = 1 to batch do
-    Vw_engine.Arena.push arena frame
-  done;
-  let iters = max 1 (packets / batch) in
-  let nop _ _ = () in
-  (* warm-up: fault the compile-lazy paths and touch the arrays *)
-  ignore
-    (Vw_engine.Fie.process_batch fie Vw_stack.Hook.Ingress arena
-       ~on_verdict:nop);
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do
-    ignore
-      (Vw_engine.Fie.process_batch fie Vw_stack.Hook.Ingress arena
-         ~on_verdict:nop)
-  done;
-  let wall = Unix.gettimeofday () -. t0 in
-  wall *. 1e9 /. float_of_int (iters * batch)
-
-let batch_sizes = [ 1; 8; 32; 128 ]
-
-(* best-of-[rounds] ns/packet per batch size, on a freshly deployed engine *)
-let batch_sweep ?(rounds = 3) ?(obs = false) ~script ~packets () =
-  let testbed, fie, tables = Workload.batch_engine ~script in
-  if obs then Testbed.enable_observability ~mode:Vw_obs.Recorder.Binary testbed;
-  Workload.batch_engine_start fie tables;
-  let frame = ping_eth in
-  List.map
-    (fun batch ->
-      let best = ref infinity in
-      for _ = 1 to rounds do
-        Gc.compact ();
-        let ns = batch_run fie ~frame ~batch ~packets in
-        if ns < !best then best := ns
-      done;
-      (batch, !best))
-    batch_sizes
-
-let batch_bench () =
-  (* the batched equivalent of the pipeline rows: 25 filters, counters
-     only — the shape the 1M packets/sec target is stated against *)
-  let rules_only =
-    batch_sweep
-      ~script:(Workload.udp_overhead_script ~n_filters:25 ~actions:false)
-      ~packets:262_144 ()
-  in
-  (* adversarial shapes at 1k-10k filters: a 1000-filter single shared
-     bucket degenerates every classification to the linear scan; 10k
-     singleton buckets stress the dispatch itself at scale *)
-  let adv_1k =
-    batch_sweep
-      ~script:(Workload.shared_bucket_script ~n_filters:1000)
-      ~packets:8_192 ()
-  in
-  let adv_10k =
-    batch_sweep
-      ~script:(Workload.big_singleton_script ~n_filters:10_000)
-      ~packets:65_536 ()
-  in
-  (* rules_only again with the binary flight recorder live: the delta at
-     each batch size prices recording per packet (2 events: classified +
-     counter change) *)
-  let recording =
-    batch_sweep
-      ~script:(Workload.udp_overhead_script ~n_filters:25 ~actions:false)
-      ~packets:262_144 ~obs:true ()
-  in
-  let ns_at b rows = List.assoc b rows in
-  let recording_ns = ns_at 128 recording -. ns_at 128 rules_only in
-  let pps ns = if ns > 0.0 then 1e9 /. ns else 0.0 in
-  if json_mode then begin
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf "  \"batch\": {\n";
-    let shape name rows ~last:is_last ~extra =
-      Buffer.add_string buf (Printf.sprintf "    %S: {\n" name);
-      List.iteri
-        (fun i (b, ns) ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "      \"b%d\": { \"ns_per_packet\": %.1f, \
-                \"packets_per_sec\": %.0f }%s\n"
-               b ns (pps ns)
-               (if i = List.length rows - 1 && extra = "" then "" else ",")))
-        rows;
-      if extra <> "" then Buffer.add_string buf extra;
-      Buffer.add_string buf
-        (Printf.sprintf "    }%s\n" (if is_last then "" else ","))
-    in
-    shape "rules_only" rules_only ~last:false ~extra:"";
-    shape "adv_1k_shared" adv_1k ~last:false ~extra:"";
-    shape "adv_10k_singleton" adv_10k ~last:false ~extra:"";
-    shape "recording" recording ~last:true
-      ~extra:
-        (Printf.sprintf "      \"recording_ns_per_packet\": %.1f\n"
-           recording_ns);
-    Buffer.add_string buf "  },\n";
-    Buffer.contents buf
-  end
-  else begin
-    header "Batched hot path (Fie.process_batch, host wall clock)";
-    Printf.printf "%-20s %6s %14s %14s\n" "shape" "batch" "ns/packet"
-      "packets/sec";
-    List.iter
-      (fun (name, rows) ->
-        List.iter
-          (fun (b, ns) ->
-            Printf.printf "%-20s %6d %14.1f %14.0f\n" name b ns (pps ns))
-          rows)
-      [
-        ("rules_only", rules_only);
-        ("adv_1k_shared", adv_1k);
-        ("adv_10k_singleton", adv_10k);
-        ("recording", recording);
-      ];
-    Printf.printf
-      "recording cost at batch 128: %.1f ns per packet (binary ring, 2 \
-       events per packet)\n"
-      recording_ns;
-    ""
-  end
-
 let micro () =
   let all_results = micro_classify_results () in
   let adversarial, classify =
@@ -523,45 +385,47 @@ let micro () =
   let cascade_ns = ns1 -. ns0 in
   (* flight-recorder ablation: the same rules+actions pipeline with the
      recorder disabled (the default no-op sink — this IS the w1 row,
-     re-measured so the group shares cache state), with the legacy Typed
-     sink (the per-event-allocation path behind the jsonl era), and with
-     the Binary vw-events/2 ring (the production default). "Disabled costs
-     nothing" means off ≈ w1; the on rows price the recording itself.
-     More samples than the pipeline rows: the recording cost is a
-     difference of two wall clocks, so each needs the extra stability. *)
+     re-measured so the group shares cache state) and with the vw-events/2
+     ring on. "Disabled costs nothing" means off ≈ w1; the on row prices
+     the recording itself. More samples than the pipeline rows: the
+     recording cost is a difference of two wall clocks, so each needs the
+     extra stability. *)
   let obs_samples = 6000 in
   (* The recording cost is a difference of two short wall clocks, so host
-     load drift would swamp a single measurement. Interleave the three
+     load drift would swamp a single measurement. Interleave the two
      configurations round-robin (drift hits each config equally), compact
-     the heap before every run (the Typed row's garbage must not be billed
-     to its successor), and keep the per-config minimum. *)
+     the heap before every run (one run's garbage must not be billed to its
+     successor), and keep the per-config minimum. *)
   let rounds = 4 in
-  let best = Array.make 3 (0.0, 0, infinity, 0.0) in
+  let best = Array.make 2 (0.0, 0, infinity, 0.0) in
   for _ = 1 to rounds do
     List.iteri
       (fun i obs ->
         Gc.compact ();
         let (_, _, ns, _) as r =
-          micro_pipeline ?obs ~samples:obs_samples ~actions:true ()
+          micro_pipeline ~obs ~samples:obs_samples ~actions:true ()
         in
         let _, _, best_ns, _ = best.(i) in
         if ns < best_ns then best.(i) <- r)
-      [ None; Some Vw_obs.Recorder.Typed; Some Vw_obs.Recorder.Binary ]
+      [ false; true ]
   done;
   let woff, poff, nsoff, ppsoff = best.(0) in
-  let wjs, pjs, nsjs, ppsjs = best.(1) in
-  let won, pon, nson, ppson = best.(2) in
-  let recording_jsonl_ns = nsjs -. nsoff in
+  let won, pon, nson, ppson = best.(1) in
   let recording_ns = nson -. nsoff in
-  let ib25, il25, if25 = Vw_fsl.Tables.index_stats (micro_tables 25) in
-  let ib100, il100, if100 = Vw_fsl.Tables.index_stats (micro_tables 100) in
-  let t1k, tshared, tmasked = adversarial_tables () in
+  let index_stats t = Vw_fsl.Tables.(index_stats (compile t)) in
+  let ib25, il25, if25 = index_stats (micro_tables 25) in
+  let ib100, il100, if100 = index_stats (micro_tables 100) in
+  let t1k, t10k, tshared, tshared1k, tmasked = adversarial_tables () in
   let adv_shapes =
-    [
-      ("1000-singleton", Vw_fsl.Tables.index_stats t1k);
-      ("256-shared-bucket", Vw_fsl.Tables.index_stats tshared);
-      ("256-masked-fallback", Vw_fsl.Tables.index_stats tmasked);
-    ]
+    List.map
+      (fun (name, t) -> (name, index_stats t))
+      [
+        ("1000-singleton", t1k);
+        ("10000-singleton", t10k);
+        ("256-shared-bucket", tshared);
+        ("1000-shared-bucket", tshared1k);
+        ("256-masked-fallback", tmasked);
+      ]
   in
   if json_mode then begin
     let buf = Buffer.create 1024 in
@@ -609,21 +473,16 @@ let micro () =
          \    \"cascade_ns_per_packet\": %.1f\n\
          \  },\n"
          w0 p0 ns0 pps0 w1 p1 ns1 pps1 cascade_ns);
-    Buffer.add_string buf (batch_bench ());
     Buffer.add_string buf
       (Printf.sprintf
          "  \"obs_ablation\": {\n\
          \    \"recorder_off\": { \"wall_s\": %.4f, \"packets\": %d, \
           \"ns_per_packet\": %.1f, \"packets_per_sec\": %.0f },\n\
-         \    \"recorder_on_jsonl\": { \"wall_s\": %.4f, \"packets\": %d, \
-          \"ns_per_packet\": %.1f, \"packets_per_sec\": %.0f },\n\
          \    \"recorder_on\": { \"wall_s\": %.4f, \"packets\": %d, \
           \"ns_per_packet\": %.1f, \"packets_per_sec\": %.0f },\n\
-         \    \"recording_jsonl_ns_per_packet\": %.1f,\n\
          \    \"recording_ns_per_packet\": %.1f\n\
          \  }\n"
-         woff poff nsoff ppsoff wjs pjs nsjs ppsjs won pon nson ppson
-         recording_jsonl_ns recording_ns);
+         woff poff nsoff ppsoff won pon nson ppson recording_ns);
     emit_json (Buffer.contents buf)
   end
   else begin
@@ -660,15 +519,11 @@ let micro () =
       "ns/packet" "packets/sec";
     Printf.printf "%-16s %10.3f %10d %14.1f %14.0f\n" "off" woff poff nsoff
       ppsoff;
-    Printf.printf "%-16s %10.3f %10d %14.1f %14.0f\n" "on (typed)" wjs pjs
-      nsjs ppsjs;
-    Printf.printf "%-16s %10.3f %10d %14.1f %14.0f\n" "on (binary)" won pon
-      nson ppson;
+    Printf.printf "%-16s %10.3f %10d %14.1f %14.0f\n" "on" won pon nson ppson;
     Printf.printf
-      "recording cost: binary %.1f ns, typed %.1f ns per inspected packet \
-       (disabled recorder is a single branch per would-be event)\n"
-      recording_ns recording_jsonl_ns;
-    ignore (batch_bench ())
+      "recording cost: %.1f ns per inspected packet (disabled recorder is a \
+       single branch per would-be event)\n"
+      recording_ns
   end
 
 (* ------------------------------------------------------------------ *)

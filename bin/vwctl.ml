@@ -151,9 +151,9 @@ let workload_arg =
     & info [ "w"; "workload" ] ~docv:"KIND"
         ~doc:
           "Traffic to drive through the testbed: $(b,tcp-stream), \
-           $(b,udp-ping), $(b,udp-blast) (one-way bursts through the \
-           batched hot path), $(b,rether) (token ring plus a TCP stream), \
-           or $(b,idle).")
+           $(b,udp-ping), $(b,rether) (token ring plus a TCP stream), \
+           $(b,http-failover) or $(b,idle). Payloads are zero-filled, so \
+           same-seed runs put identical bytes on the wire.")
 
 let bytes_arg =
   Arg.(
@@ -166,16 +166,6 @@ let duration_arg =
     value & opt float 60.0
     & info [ "d"; "max-duration" ] ~docv:"SECONDS"
         ~doc:"Simulated-time budget for the scenario.")
-
-let batch_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "batch" ] ~docv:"N"
-        ~doc:
-          "Frames per engine chunk for batched workloads ($(b,udp-blast)); \
-           default 128. Every value produces byte-identical events, stats \
-           and traces — batching only changes constant factors.")
 
 let rll_arg =
   Arg.(
@@ -373,7 +363,7 @@ let warn_truncation testbed ~capacity =
 (* vwctl run --repeat N: the same scenario as a campaign of N trials, trial
    i on a testbed seeded S+i. One Vw_exec job per trial; the reducer prints
    trials in plan order, so --jobs does not change the output. *)
-let run_repeat_campaign ~tables ~src ~script_path ~workload ~bytes ~batch
+let run_repeat_campaign ~tables ~src ~script_path ~workload ~bytes
     ~duration ~rll ~opts ~repeat =
   let base_seed =
     match opts.seed with Some s -> s | None -> Vw_util.Prng.run_seed ()
@@ -394,7 +384,7 @@ let run_repeat_campaign ~tables ~src ~script_path ~workload ~bytes ~batch
         match
           Scenario.run testbed ~script:src
             ~max_duration:(Vw_sim.Simtime.sec duration)
-            ~workload:(make_workload ?batch workload ~bytes)
+            ~workload:(make_workload workload ~bytes)
         with
         | Error e ->
             Vw_exec.Job.result ~verdict:`Fail (seed, "error: " ^ e ^ "\n")
@@ -564,7 +554,7 @@ let run_cmd =
              per node, one complete event per causal context, flow arrows \
              for control hops).")
   in
-  let run script_path workload bytes batch duration rll trace_n verbose
+  let run script_path workload bytes duration rll trace_n verbose
       counters show_stats opts repeat events_out events_format metrics_out
       pcap_out trace_json_out events_capacity =
     setup_logs verbose;
@@ -602,7 +592,7 @@ let run_cmd =
             end
             else
               run_repeat_campaign ~tables ~src ~script_path ~workload ~bytes
-                ~batch ~duration ~rll ~opts ~repeat
+                ~duration ~rll ~opts ~repeat
         | Ok tables -> (
             let config =
               {
@@ -625,7 +615,7 @@ let run_cmd =
             match
               Scenario.run testbed ~script:src
                 ~max_duration:(Vw_sim.Simtime.sec duration)
-                ~workload:(make_workload ?batch workload ~bytes)
+                ~workload:(make_workload workload ~bytes)
             with
             | Error e ->
                 Printf.eprintf "error: %s\n" e;
@@ -740,7 +730,7 @@ let run_cmd =
          "Compile a script, build a simulated testbed from its node table, \
           deploy over the control plane and run the scenario.")
     Term.(
-      const run $ script_arg $ workload_arg $ bytes_arg $ batch_arg
+      const run $ script_arg $ workload_arg $ bytes_arg
       $ duration_arg $ rll_arg $ trace_arg $ verbose_arg $ counters_arg
       $ stats_arg $ campaign_opts_term $ repeat_arg $ events_arg
       $ events_format_arg $ metrics_arg $ pcap_arg $ trace_json_arg

@@ -5,15 +5,11 @@
 
     - [print_parse_fixpoint]: the serialized case re-parses to a script
       that prints identically;
-    - [classifier_diff]: the indexed zero-copy classifier agrees with
+    - [classifier_diff]: the engine's compiled, indexed classifier
+      ([Classifier.classify_frame_c]) agrees with
       [Classifier.classify_linear] on every captured frame;
-    - [batch_equiv]: replaying the captured frames through
-      [Classifier.classify_batch] in chunks gives, frame by frame, the
-      same match and scan count as the per-frame compiled classifier, and
-      equal cumulative stats — the batched hot path is indistinguishable
-      from the fold it replaces;
-    - [codec_roundtrip]: [Tables_codec] decode inverts encode (ignoring the
-      rebuilt index) and re-encoding is canonical;
+    - [codec_roundtrip]: [Tables_codec] decode inverts encode and
+      re-encoding is canonical;
     - [events_roundtrip]: the [vw-events/1] JSONL rendering reloads to the
       identical typed event list;
     - [coverage_live_offline]: coverage from live events equals coverage
@@ -37,15 +33,12 @@
 type defect =
   | No_defect
   | Skip_index_bucket
-      (** classify as if the index forgot the matching bucket *)
+      (** classify as if the index forgot every bucket *)
   | Codec_drop_action  (** decoded tables lose their last action *)
   | Events_drop_line  (** one event line vanishes before reload *)
   | Conform_zero_cover
       (** coverage forgets every filter match before the conformance
           cross-check *)
-  | Batch_skip_flush
-      (** the batched classifier never flushes its final chunk, as a
-          batching loop firing only on full chunks would *)
 
 val defect_of_string : string -> (defect, string) result
 val defect_to_string : defect -> string

@@ -3,11 +3,10 @@ module Host = Vw_stack.Host
 module Tcp = Vw_tcp.Tcp
 module Rether = Vw_rether.Rether
 
-type kind = Udp_ping | Udp_blast | Tcp_stream | Rether_ring | Http_failover | Idle
+type kind = Udp_ping | Tcp_stream | Rether_ring | Http_failover | Idle
 
 let kind_to_string = function
   | Udp_ping -> "udp-ping"
-  | Udp_blast -> "udp-blast"
   | Tcp_stream -> "tcp-stream"
   | Rether_ring -> "rether"
   | Http_failover -> "http-failover"
@@ -15,7 +14,6 @@ let kind_to_string = function
 
 let kind_of_string = function
   | "udp-ping" -> Ok Udp_ping
-  | "udp-blast" -> Ok Udp_blast
   | "tcp-stream" -> Ok Tcp_stream
   | "rether" -> Ok Rether_ring
   | "http-failover" -> Ok Http_failover
@@ -25,52 +23,14 @@ let kind_of_string = function
 (* Built-in workloads so any two-node (or four-node) script can be driven
    from the command line. They follow the paper's conventions: TCP flows
    use ports 0x6000 -> 0x4000 between the first and last nodes of the node
-   table; UDP ping uses 0x1388 -> 0x1389. *)
-let make ?batch kind ~bytes testbed =
+   table; UDP ping uses 0x1388 -> 0x1389. Payloads are zero-filled, so
+   the bytes on the wire are the same on every run. *)
+let make kind ~bytes testbed =
   let all = Testbed.nodes testbed in
   let first = List.hd all in
   let last = List.nth all (List.length all - 1) in
   match kind with
   | Idle -> ()
-  | Udp_blast ->
-      (* One-way firehose through the batched hot path: bursts of UDP
-         frames are hand-built (explicit IP idents, so the byte stream is
-         identical at every batch size — [Host.udp_send] would consume its
-         own ident counter) and injected at the sender's egress FIE via
-         [Testbed.process_batch]. The burst size is fixed; [batch] only
-         changes how the engine chunks it, which must not be observable. *)
-      let engine = Testbed.engine testbed in
-      let ha = Testbed.host first and hb = Testbed.host last in
-      Host.udp_bind hb ~port:0x1389 (fun ~src:_ ~src_port:_ _ -> ());
-      let count = max 1 (bytes / 64) in
-      let frame i =
-        let udp =
-          Vw_net.Udp.make ~src_port:0x1388 ~dst_port:0x1389 (Bytes.make 64 'b')
-        in
-        let ip =
-          Vw_net.Ipv4.make ~ident:(i land 0xffff)
-            ~protocol:Vw_net.Ipv4.protocol_udp ~src:(Host.ip ha)
-            ~dst:(Host.ip hb)
-            (Vw_net.Udp.to_bytes ~src:(Host.ip ha) ~dst:(Host.ip hb) udp)
-        in
-        Vw_net.Eth.make ~dst:(Host.mac hb) ~src:(Host.mac ha)
-          ~ethertype:Vw_net.Eth.ethertype_ipv4
-          (Vw_net.Ipv4.to_bytes ip)
-      in
-      let burst = 32 in
-      let rec tick sent =
-        if sent < count && not (Vw_sim.Engine.stop_requested engine) then begin
-          let n = min burst (count - sent) in
-          let frames = List.init n (fun j -> frame (sent + j)) in
-          ignore
-            (Testbed.process_batch ?batch testbed first Vw_stack.Hook.Egress
-               frames);
-          ignore
-            (Vw_sim.Engine.schedule_after engine ~delay:(Vw_sim.Simtime.ms 1)
-               (fun () -> tick (sent + n)))
-        end
-      in
-      ignore (Vw_sim.Engine.schedule_after engine ~delay:0 (fun () -> tick 0))
   | Udp_ping ->
       let engine = Testbed.engine testbed in
       let a = Testbed.host first and b = Testbed.host last in
@@ -84,7 +44,7 @@ let make ?batch kind ~bytes testbed =
              ~delay:(i * Vw_sim.Simtime.ms 5)
              (fun () ->
                Host.udp_send a ~src_port:0x1388 ~dst:(Host.ip b)
-                 ~dst_port:0x1389 (Bytes.create 64)))
+                 ~dst_port:0x1389 (Bytes.make 64 '\x00')))
       done
   | Tcp_stream ->
       ignore
@@ -95,7 +55,7 @@ let make ?batch kind ~bytes testbed =
           ~dst:(Host.ip (Testbed.host last))
           ~dst_port:0x4000
       in
-      Tcp.on_established conn (fun () -> Tcp.send conn (Bytes.create bytes))
+      Tcp.on_established conn (fun () -> Tcp.send conn (Bytes.make bytes '\x00'))
   | Http_failover ->
       (* first node fetches from the second until it stops answering, then
          retries the same page against the next server — the
@@ -151,7 +111,7 @@ let make ?batch kind ~bytes testbed =
             ~dst:(Host.ip (Testbed.host last))
             ~dst_port:0x4000
         in
-        Tcp.on_established conn (fun () -> Tcp.send conn (Bytes.create bytes))
+        Tcp.on_established conn (fun () -> Tcp.send conn (Bytes.make bytes '\x00'))
       end
 
 (* Per-script run directives, embedded as comments:

@@ -6,27 +6,22 @@
     conformance corpus under [test/conformance/] replays under
     [dune runtest] with exactly the traffic the CLI would drive. *)
 
-type kind = Udp_ping | Udp_blast | Tcp_stream | Rether_ring | Http_failover | Idle
+type kind = Udp_ping | Tcp_stream | Rether_ring | Http_failover | Idle
 
 val kind_to_string : kind -> string
 
 val kind_of_string : string -> (kind, string) result
-(** Accepts the CLI spellings: udp-ping, udp-blast, tcp-stream, rether,
+(** Accepts the CLI spellings: udp-ping, tcp-stream, rether,
     http-failover, idle. *)
 
-val make : ?batch:int -> kind -> bytes:int -> Vw_core.Testbed.t -> unit
+val make : kind -> bytes:int -> Vw_core.Testbed.t -> unit
 (** [make kind ~bytes testbed] starts the workload on [testbed]. TCP flows
     run from the first node of the node table to the last on ports
     0x6000 -> 0x4000 (the paper's convention); udp-ping uses
     0x1388 -> 0x1389; http-failover serves port 80 on every node but the
-    first and fetches [max 1 (bytes/64)] pages from the first.
-
-    udp-blast drives [max 1 (bytes/64)] one-way 64-byte UDP frames
-    (0x1388 -> 0x1389) through the sender's engine in fixed 32-frame
-    bursts via the batched hot path ({!Vw_core.Testbed.process_batch}).
-    [batch] sets the engine chunk size (default 128) and must not change
-    any observable output — the stats-parity conformance tests hold every
-    batch size to that. Other workloads ignore [batch]. *)
+    first and fetches [max 1 (bytes/64)] pages from the first. UDP and
+    TCP payloads are zero-filled, so two runs of the same script and seed
+    put byte-identical frames on the wire. *)
 
 (** Per-script run directives, embedded as comments:
       [# vwctl: workload=udp-ping bytes=640 expect=fail duration=10 arp=on]

@@ -62,24 +62,6 @@ val tcp : node -> Vw_tcp.Tcp.stack
 val run : t -> ?until:Vw_sim.Simtime.t -> unit -> unit
 (** Convenience: run the simulation. *)
 
-val process_batch :
-  ?batch:int ->
-  t ->
-  node ->
-  Vw_stack.Hook.point ->
-  Vw_net.Eth.t list ->
-  int
-(** [process_batch t node point frames] feeds [frames], in order, through
-    [node]'s engine in chunks of [batch] (default 128) using the batched
-    hot path ({!Vw_engine.Fie.process_batch} over the testbed's shared,
-    lazily-allocated arena). Each frame's verdict is applied immediately:
-    [Accept] continues it through the rest of [node]'s hook chain (to the
-    NIC on egress, the demultiplexer on ingress) exactly as an unbatched
-    hook verdict would. Returns the number of frames processed — short of
-    [List.length frames] iff a STOP report fired mid-run or the node is
-    failed. Semantically identical to per-frame injection at every batch
-    size; only the constant factors change. *)
-
 (** {1 Observability}
 
     Disabled by default: every engine starts with the no-op recorder and a
@@ -88,11 +70,9 @@ val process_batch :
     one flight recorder per node (sharing a sequence counter, so the merged
     log is totally ordered) and one metrics registry for the run. *)
 
-val enable_observability : ?mode:Vw_obs.Recorder.mode -> ?capacity:int -> t -> unit
+val enable_observability : ?capacity:int -> t -> unit
 (** Wire a recorder into every node's engine and create the run's metrics
-    registry. [mode] (default [Binary]) selects the recorder sink — the
-    binary vw-events/2 ring, or the legacy [Typed] array kept for the
-    bench ablation. [capacity] bounds each node's retained events (default
+    registry. [capacity] bounds each node's retained events (default
     16384; oldest events are overwritten beyond it). Idempotent; survives
     [Fie.reset], so successive scenarios on one testbed keep recording. *)
 

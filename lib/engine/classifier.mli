@@ -8,32 +8,16 @@
 
     The paper's implementation "searches linearly through the packet type
     definitions" — the cost Figure 8 measures. {!classify_linear} keeps
-    that scan as the executable reference; {!classify} and
-    {!classify_frame} dispatch through the precompiled
-    {!Vw_fsl.Tables.classification_index} instead, scanning only the
-    filters that could possibly match. The two are semantically identical
-    (property-tested in [test_engine.ml]). *)
-
-val tuple_matches :
-  Vw_fsl.Tables.tuple -> bindings:bytes option array -> bytes -> bool
-
-val filter_matches :
-  Vw_fsl.Tables.filter_entry -> bindings:bytes option array -> bytes -> bool
-
-val tuple_matches_frame :
-  Vw_fsl.Tables.tuple -> bindings:bytes option array -> Vw_net.Eth.t -> bool
-(** Zero-copy variant: offsets address the serialized layout but are read
-    through {!Vw_net.Eth.masked_field_equal}. *)
-
-val filter_matches_frame :
-  Vw_fsl.Tables.filter_entry ->
-  bindings:bytes option array ->
-  Vw_net.Eth.t ->
-  bool
+    that scan over the record-form tables as the executable reference;
+    {!classify_fid} (and its option wrapper {!classify_frame_c}) dispatch
+    through the compiled tables' classification index instead, scanning
+    only the filters that could possibly match. The two are semantically
+    identical (property-tested in [test_engine.ml], and checked by the
+    [classifier_diff] oracle in [vw_check]). *)
 
 val classify_linear :
   Vw_fsl.Tables.t -> bindings:bytes option array -> bytes -> int option
-(** The naive full scan — the reference the indexed paths must agree with,
+(** The naive full scan — the reference the indexed path must agree with,
     and the baseline the bench compares against. *)
 
 type scan_stats = {
@@ -47,23 +31,18 @@ type scan_stats = {
 
 val new_scan_stats : unit -> scan_stats
 
-val classify :
-  ?stats:scan_stats ->
-  Vw_fsl.Tables.t ->
-  bindings:bytes option array ->
-  bytes ->
-  int option
-(** [classify tables ~bindings frame_bytes] is the first matching filter
-    id, dispatching through the classification index. *)
-
-val classify_frame :
-  ?stats:scan_stats ->
-  Vw_fsl.Tables.t ->
+val classify_fid :
+  scan_stats ->
+  Vw_fsl.Tables.Compiled.t ->
   bindings:bytes option array ->
   Vw_net.Eth.t ->
-  int option
-(** Indexed {e and} zero-copy: classifies an [Eth.t] without serializing
-    it. *)
+  int
+(** The engine's per-packet entry point: the first matching fid, or −1
+    for none, counted into the given stats. Indexed {e and} zero-copy: one
+    read of the discriminating field selects a bucket, which is
+    merge-scanned with the fallback filters in fid order; tuples are flat
+    int arrays over a shared byte pool, read in place from the [Eth.t]
+    without serializing it. Allocates nothing. *)
 
 val classify_frame_c :
   ?stats:scan_stats ->
@@ -71,38 +50,4 @@ val classify_frame_c :
   bindings:bytes option array ->
   Vw_net.Eth.t ->
   int option
-(** {!classify_frame} over the compiled SoA filter table: same index
-    dispatch and first-match-wins merge scan, but tuples are flat int
-    arrays over a shared byte pool — no list traversal, no per-tuple
-    variant dispatch. Property-tested equal to {!classify_frame} and
-    {!classify_linear}; {!classify_fid} without the option. *)
-
-val classify_fid :
-  scan_stats ->
-  Vw_fsl.Tables.Compiled.t ->
-  bindings:bytes option array ->
-  Vw_net.Eth.t ->
-  int
-(** The engine's per-packet entry point: {!classify_frame_c}'s first
-    matching fid, or −1 for none, counted into the given stats. Allocates
-    nothing. *)
-
-val classify_batch :
-  ?stats:scan_stats ->
-  Vw_fsl.Tables.Compiled.t ->
-  bindings:bytes option array ->
-  frames:Vw_net.Eth.t array ->
-  n:int ->
-  fids:int array ->
-  scanned:int array ->
-  hits:Bytes.t ->
-  unit
-(** Classify [frames.(0 .. n-1)] in one pass (the arrays are an
-    {!Arena.t}'s). Per frame [i]: [fids.(i)] gets the first matching fid
-    or −1, [scanned.(i)] the filters tested, [hits.(i)] whether the
-    discriminating field selected a bucket ('\001') or fell through to
-    the fallback scan ('\000'). The totals added to [stats] equal a fold
-    of {!classify_frame_c}; the per-frame breakdown lets a caller that
-    stops mid-batch subtract the unprocessed tail and keep batch and
-    single-packet stats identical. Only sound when [bindings] cannot
-    change mid-batch (no vars, or no BIND_VAR reachable). *)
+(** {!classify_fid} with [None] for no match. *)

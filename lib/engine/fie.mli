@@ -12,12 +12,12 @@
     execute triggered actions. Counter-value and term-status changes
     propagate to remote nodes over the control plane.
 
-    The classification step dispatches through the precompiled
-    {!Vw_fsl.Tables.classification_index} and matches the frame in place
-    (no serialization); observers and armed faults are precomputed per
-    (hook point, filter id) at INIT, so a packet only touches the
-    candidates that could apply to it. See DESIGN.md, "Per-packet fast
-    path".
+    The classification step dispatches through the classification index
+    of the compiled tables ({!Vw_fsl.Tables.Compiled}) and matches the
+    frame in place (no serialization); observers and armed faults are
+    precomputed per (hook point, filter id) at INIT, so a packet only
+    touches the candidates that could apply to it. See DESIGN.md,
+    "Per-packet fast path".
 
     Rule semantics (DESIGN.md §5): condition evaluation is {e snapshot,
     edge-triggered} — within a cascade round all affected conditions are
@@ -136,34 +136,6 @@ val set_report_handler : t -> (report -> unit) -> unit
 val send_control : t -> dst_nid:int -> Control.msg -> unit
 (** Exposed for the controller (which shares the engine's node table) and
     for tests. Local destinations are processed synchronously. *)
-
-(** {1 Batched hot path}
-
-    {!process_one} is exactly the hook handler the engine installed for
-    that point — the linear reference. {!process_batch} runs a filled
-    {!Arena.t} through the same per-frame pipeline while amortizing the
-    batch-invariant work: one recorder slot reservation, one
-    classification pass over the whole batch (when no variable bindings
-    or control frames can perturb it mid-batch), one stop-flag read per
-    frame instead of a scheduler round-trip. Semantics are identical to
-    folding {!process_one} — first-match-wins, per-frame cascades,
-    verdict application order, stats and recorded events — property-tested
-    in [test_engine.ml] and by the [batch_equiv] oracle in [vw_check]. *)
-
-val process_one : t -> Vw_stack.Hook.point -> Vw_net.Eth.t -> Vw_stack.Hook.verdict
-(** Run one frame through the engine's handler for [point], control frames
-    included — byte-for-byte the installed hook behaviour. *)
-
-val process_batch :
-  t -> Vw_stack.Hook.point -> Arena.t -> on_verdict:(int -> Vw_stack.Hook.verdict -> unit) -> int
-(** [process_batch t point arena ~on_verdict] processes frames
-    [0 .. Arena.length arena - 1] in order, storing each verdict in the
-    arena and calling [on_verdict i v] immediately after frame [i] — the
-    caller applies the verdict there (transmit / reinject), so DUP and
-    REORDER reinjections interleave with the batch exactly as they would
-    unbatched. Returns the number of frames processed: fewer than the
-    batch length iff a STOP was requested mid-batch, in which case the
-    cumulative stats are reconciled to cover only the processed prefix. *)
 
 (** {1 Processing-cost model}
 

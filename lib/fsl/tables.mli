@@ -105,22 +105,6 @@ type compiled_action =
 
 type action_entry = { aid : int; exec_node : int; act : compiled_action }
 
-type classification_index = {
-  ci_offset : int;  (** discriminating field offset; -1 when no index *)
-  ci_len : int;  (** discriminating field length (1–7 bytes) *)
-  ci_buckets : (int, int array) Hashtbl.t;
-      (** big-endian field value → fids constraining the field to that
-          value, ascending *)
-  ci_fallback : int array;
-      (** fids that do not constrain the field (Var_pattern, masked, or no
-          tuple at the window) — always scanned, ascending *)
-}
-(** Precompiled classification index (see DESIGN.md "Per-packet fast
-    path"). A filter keyed under value [v] requires the packet bytes at
-    [ci_offset, ci_offset+ci_len) to equal [v] exactly, so the classifier
-    dispatches on one field read and scans [bucket ∪ fallback] in fid
-    order — semantically identical to the full linear scan. *)
-
 type t = {
   scenario_name : string;
   inactivity_timeout : Vw_sim.Simtime.t option;
@@ -132,8 +116,6 @@ type t = {
   conds : cond_entry array;
   actions : action_entry array;
   rule_of_cond : int array;  (** condition id → source rule index *)
-  cindex : classification_index;
-      (** derived from [filters]; rebuilt (not shipped) by the codec *)
 }
 
 (** The immutable structure-of-arrays runtime form, compiled once from the
@@ -143,7 +125,7 @@ type t = {
     one-to-many link, literal patterns and masks concatenated into one
     byte pool, condition expressions as prefix-order node arrays with
     explicit short-circuit skip targets, and one int-descriptor per
-    action. See DESIGN.md §5, "Batched SoA hot path". *)
+    action. See DESIGN.md §5, "SoA hot path". *)
 module Compiled : sig
   type t = {
     f_start : int array;
@@ -155,10 +137,14 @@ module Compiled : sig
     tu_mask : int array;  (** mask offset into [pool]; −1 = unmasked *)
     tu_mlen : int array;  (** mask length; 0 = unmasked *)
     pool : bytes;
-    ci_offset : int;
-    ci_len : int;
+    ci_offset : int;  (** discriminating field offset; −1 when no index *)
+    ci_len : int;  (** discriminating field length (1–7 bytes) *)
     ci_buckets : (int, int array) Hashtbl.t;
+        (** big-endian field value → fids constraining the field to that
+            value, ascending *)
     ci_fallback : int array;
+        (** fids that do not constrain the field (Var_pattern, masked, or
+            no tuple at the window) — always scanned, ascending *)
     c_owner : int array;
     ct_start : int array;  (** cid → affected_terms slice *)
     ct_terms : int array;
@@ -214,23 +200,20 @@ module Compiled : sig
 end
 
 val compile : t -> Compiled.t
-(** Flatten the tables into their SoA runtime form. Pure; the result
-    shares the classification index's bucket arrays (immutable once
-    built). *)
+(** Flatten the tables into their SoA runtime form and build the
+    classification index: the discriminating (offset, len) window is the
+    one a mask-free literal tuple constrains in the most filters, and the
+    filters are bucketed by its value. Pure. Assumes the compiler's tuple
+    invariant ([1 ≤ t_len ≤ 8], literal pattern and mask of exactly
+    [t_len] bytes), which {!Tables_codec.of_bytes} enforces on decode. *)
 
-val build_index : filter_entry array -> classification_index
-(** Choose the discriminating (offset, len) window — the one a mask-free
-    literal tuple constrains in the most filters — and bucket the filters
-    by its value. *)
-
-val index_stats : t -> int * int * int
+val index_stats : Compiled.t -> int * int * int
 (** [(buckets, largest_bucket, fallback_filters)] — the shape of the
-    index, for [vwctl check] and the bench summary. *)
+    index, for the bench summary and tests. *)
 
 val equal : t -> t -> bool
-(** Structural equality of the six shipped tables, ignoring the derived
-    [cindex] (which is rebuilt from [filters] and therefore determined by
-    them). Used by codec round-trip properties. *)
+(** Structural equality of the six shipped tables. Used by codec
+    round-trip properties. *)
 
 val node_by_name : t -> string -> node_entry option
 val node_by_mac : t -> Vw_net.Mac.t -> node_entry option

@@ -47,13 +47,27 @@ let write_tuple w t =
       W.u8 w 1;
       W.u16 w vid
 
+(* The compiler's tuple invariant (compile.ml): a width in [1;8], and a
+   literal pattern and mask of exactly that many bytes. [Tables.compile]
+   relies on it, so a decoded table that breaks it is rejected here rather
+   than at INIT. *)
 let read_tuple r =
   let t_offset = R.u16 r in
   let t_len = R.u8 r in
-  let t_mask = R.option r R.bytes in
+  if t_len < 1 || t_len > 8 then
+    raise (R.Underflow (Printf.sprintf "tuple length %d out of [1;8]" t_len));
+  let exact what b =
+    if Bytes.length b <> t_len then
+      raise
+        (R.Underflow
+           (Printf.sprintf "%d-byte %s in a %d-byte tuple" (Bytes.length b) what
+              t_len));
+    b
+  in
+  let t_mask = R.option r (fun r -> exact "mask" (R.bytes r)) in
   let t_pat =
     match R.u8 r with
-    | 0 -> Bytes_pattern (R.bytes r)
+    | 0 -> Bytes_pattern (exact "pattern" (R.bytes r))
     | 1 -> Var_pattern (R.u16 r)
     | n -> raise (R.Underflow (Printf.sprintf "bad pattern tag %d" n))
   in
@@ -370,23 +384,18 @@ let of_bytes data =
       in
       let actions = R.list r read_action in
       let rule_of_cond = read_int_list r in
-      let filters = Array.of_list filters in
       Ok
         {
           scenario_name;
           inactivity_timeout;
           vars = Array.of_list vars;
-          filters;
+          filters = Array.of_list filters;
           nodes = Array.of_list nodes;
           counters = Array.of_list counters;
           terms = Array.of_list terms;
           conds = Array.of_list conds;
           actions = Array.of_list actions;
           rule_of_cond = Array.of_list rule_of_cond;
-          (* the index is derived data: rebuilt here, never serialized, so
-             the wire format is unchanged and the index can never disagree
-             with the filter table it came from *)
-          cindex = build_index filters;
         }
     end
   with

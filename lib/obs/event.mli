@@ -1,4 +1,4 @@
-(** Typed flight-recorder events for the FIE cascade and control plane.
+(** The flight recorder's events for the FIE cascade and control plane.
 
     Each event captures one step of the per-packet pipeline (classify →
     counter → term → condition → action, Figure 4b) or of the control-plane

@@ -64,4 +64,3 @@ let run ?until ?max_events t =
 
 let pending t = Event_queue.length t.queue
 let stop t = t.stop_requested <- true
-let stop_requested t = t.stop_requested

@@ -47,8 +47,3 @@ val pending : t -> int
 val stop : t -> unit
 (** Request that [run] return after the current callback; used by the STOP
     action and scenario timeouts. *)
-
-val stop_requested : t -> bool
-(** Whether a {!stop} is pending — i.e. [run] will return before the next
-    queued event. Batch processors poll this between frames so a STOP cuts
-    a batch short exactly where it would have cut the event stream. *)

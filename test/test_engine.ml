@@ -19,13 +19,12 @@ let compile src =
 
 (* --- classifier unit tests --- *)
 
-let frame_bytes ~ethertype ~payload =
-  Vw_net.Eth.to_bytes
-    (Vw_net.Eth.make
-       ~dst:(Vw_net.Mac.of_int 2)
-       ~src:(Vw_net.Mac.of_int 1)
-       ~ethertype
-       (Vw_util.Hexutil.of_hex payload))
+let frame ~ethertype ~payload =
+  Vw_net.Eth.make
+    ~dst:(Vw_net.Mac.of_int 2)
+    ~src:(Vw_net.Mac.of_int 1)
+    ~ethertype
+    (Vw_util.Hexutil.of_hex payload)
 
 let classifier_tables =
   compile
@@ -47,65 +46,73 @@ END
 |}
 
 let no_bindings = [| None |]
+let classifier_compiled = Tables.compile classifier_tables
+
+(* The engine's classifier on the compiled tables, checked against the
+   linear reference on the record form for every frame a unit test
+   classifies. *)
+let classify ~bindings frame =
+  let module C = Vw_engine.Classifier in
+  let got = C.classify_frame_c classifier_compiled ~bindings frame in
+  check (Alcotest.option Alcotest.int) "compiled == linear reference"
+    (C.classify_linear classifier_tables ~bindings (Vw_net.Eth.to_bytes frame))
+    got;
+  got
 
 let test_classify_first_match () =
-  let module C = Vw_engine.Classifier in
   (* token frames match the more specific rule first *)
   check (Alcotest.option Alcotest.int) "token hits rule 0" (Some 0)
-    (C.classify classifier_tables ~bindings:no_bindings
-       (frame_bytes ~ethertype:0x9900 ~payload:"0001deadbeef"));
+    (classify ~bindings:no_bindings
+       (frame ~ethertype:0x9900 ~payload:"0001deadbeef"));
   (* other rether frames fall to the catch-all *)
   check (Alcotest.option Alcotest.int) "ack hits rule 1" (Some 1)
-    (C.classify classifier_tables ~bindings:no_bindings
-       (frame_bytes ~ethertype:0x9900 ~payload:"0010deadbeef"));
+    (classify ~bindings:no_bindings
+       (frame ~ethertype:0x9900 ~payload:"0010deadbeef"));
   check (Alcotest.option Alcotest.int) "no match" None
-    (C.classify classifier_tables ~bindings:no_bindings
-       (frame_bytes ~ethertype:0x1234 ~payload:"0001"))
+    (classify ~bindings:no_bindings
+       (frame ~ethertype:0x1234 ~payload:"0001"))
 
 let test_classify_mask () =
-  let module C = Vw_engine.Classifier in
   (* flagged wants bit 0x10 at offset 15 (payload byte 1) *)
   check (Alcotest.option Alcotest.int) "bit set" (Some 2)
-    (C.classify classifier_tables ~bindings:no_bindings
-       (frame_bytes ~ethertype:0x0800 ~payload:"0018"));
+    (classify ~bindings:no_bindings
+       (frame ~ethertype:0x0800 ~payload:"0018"));
   check (Alcotest.option Alcotest.int) "bit clear" None
-    (C.classify classifier_tables ~bindings:no_bindings
-       (frame_bytes ~ethertype:0x0800 ~payload:"0008"))
+    (classify ~bindings:no_bindings
+       (frame ~ethertype:0x0800 ~payload:"0008"))
 
 let test_classify_var_binding () =
-  let module C = Vw_engine.Classifier in
   let unbound = [| None |] in
   (* unbound variable: the filter cannot match *)
   check (Alcotest.option Alcotest.int) "unbound never matches" None
-    (C.classify classifier_tables ~bindings:unbound
-       (frame_bytes ~ethertype:0x0801 ~payload:"0011223344"));
+    (classify ~bindings:unbound
+       (frame ~ethertype:0x0801 ~payload:"0011223344"));
   let bound = [| Some (Vw_util.Hexutil.of_hex "00112233") |] in
   check (Alcotest.option Alcotest.int) "bound matches equal bytes" (Some 3)
-    (C.classify classifier_tables ~bindings:bound
-       (frame_bytes ~ethertype:0x0801 ~payload:"0011223344"));
+    (classify ~bindings:bound
+       (frame ~ethertype:0x0801 ~payload:"0011223344"));
   check (Alcotest.option Alcotest.int) "bound rejects different bytes" None
-    (C.classify classifier_tables ~bindings:bound
-       (frame_bytes ~ethertype:0x0801 ~payload:"ff11223344"))
+    (classify ~bindings:bound
+       (frame ~ethertype:0x0801 ~payload:"ff11223344"))
 
 let test_classify_truncated_frame () =
-  let module C = Vw_engine.Classifier in
   (* a frame shorter than a tuple's window must not match that tuple (nor
      crash); it can still fall through to a shorter filter *)
   check (Alcotest.option Alcotest.int) "header-only rether falls to catch-all"
     (Some 1)
-    (C.classify classifier_tables ~bindings:no_bindings
-       (frame_bytes ~ethertype:0x9900 ~payload:""));
+    (classify ~bindings:no_bindings
+       (frame ~ethertype:0x9900 ~payload:""));
   check (Alcotest.option Alcotest.int) "short ip frame matches nothing" None
-    (C.classify classifier_tables ~bindings:no_bindings
-       (frame_bytes ~ethertype:0x0800 ~payload:"00"))
+    (classify ~bindings:no_bindings
+       (frame ~ethertype:0x0800 ~payload:"00"))
 
 (* --- indexed vs linear classifier equivalence (property) ---
 
    Random filter tables — literal, masked and variable tuples over a tiny
    byte alphabet, so bucket collisions, fallback interleavings and
-   first-match ties are dense — against random frames: the indexed
-   [classify] and the zero-copy [classify_frame] must return exactly what
-   the naive first-match [classify_linear] reference returns. *)
+   first-match ties are dense — against random frames: the engine's
+   compiled, indexed, zero-copy [classify_frame_c] must return exactly
+   what the naive first-match [classify_linear] reference returns. *)
 
 let tables_of_filters filters =
   {
@@ -119,7 +126,6 @@ let tables_of_filters filters =
     conds = [||];
     actions = [||];
     rule_of_cond = [||];
-    cindex = Tables.build_index filters;
   }
 
 let gen_equiv_case =
@@ -164,56 +170,24 @@ let gen_equiv_case =
            (Bytes.of_string payload)) )
   >>= fun frames -> return (filters, bindings, frames)
 
-let prop_indexed_equals_linear =
-  QCheck.Test.make ~name:"indexed classifier == linear reference" ~count:500
-    (QCheck.make gen_equiv_case)
-    (fun (filters, bindings, frames) ->
-      let module C = Vw_engine.Classifier in
-      let t = tables_of_filters filters in
-      List.for_all
-        (fun frame ->
-          let data = Vw_net.Eth.to_bytes frame in
-          let expected = C.classify_linear t ~bindings data in
-          C.classify t ~bindings data = expected
-          && C.classify_frame t ~bindings frame = expected)
-        frames)
-
-(* The compiled SoA classifier, per-frame and batched, against the same
-   linear reference: equal matches, and the batch's per-frame scan counts
-   plus cumulative stats equal a fold of the per-frame compiled path. *)
+(* Equal matches on every frame, and each frame counted as exactly one
+   index hit or miss. *)
 let prop_compiled_equals_linear =
-  QCheck.Test.make ~name:"compiled SoA classifier (single + batch) == linear"
+  QCheck.Test.make
+    ~name:"compiled SoA classifier (single frame) == linear reference"
     ~count:500
     (QCheck.make gen_equiv_case)
     (fun (filters, bindings, frames) ->
       let module C = Vw_engine.Classifier in
       let t = tables_of_filters filters in
       let ct = Tables.compile t in
-      let frames_a = Array.of_list frames in
-      let n = Array.length frames_a in
-      let fids = Array.make n (-3) and scanned = Array.make n (-3) in
-      let hits = Bytes.make n '\255' in
-      let bs = C.new_scan_stats () in
-      C.classify_batch ~stats:bs ct ~bindings ~frames:frames_a ~n ~fids
-        ~scanned ~hits;
-      let rs = C.new_scan_stats () in
-      let ok = ref true in
-      Array.iteri
-        (fun i frame ->
-          let expected =
-            C.classify_linear t ~bindings (Vw_net.Eth.to_bytes frame)
-          in
-          let before = rs.C.filters_scanned in
-          let got = C.classify_frame_c ~stats:rs ct ~bindings frame in
-          if got <> expected then ok := false;
-          if fids.(i) <> Option.value expected ~default:(-1) then ok := false;
-          if scanned.(i) <> rs.C.filters_scanned - before then ok := false)
-        frames_a;
-      !ok
-      && bs.C.filters_scanned = rs.C.filters_scanned
-      && bs.C.index_hits = rs.C.index_hits
-      && bs.C.index_misses = rs.C.index_misses)
-
+      let stats = C.new_scan_stats () in
+      List.for_all
+        (fun frame ->
+          C.classify_frame_c ~stats ct ~bindings frame
+          = C.classify_linear t ~bindings (Vw_net.Eth.to_bytes frame))
+        frames
+      && stats.C.index_hits + stats.C.index_misses = List.length frames)
 
 (* --- end-to-end scenario helpers --- *)
 
@@ -1262,192 +1236,6 @@ Y: (bob)
     done
   done
 
-(* --- batched hot path: process_batch must be the fold of process_one ---
-
-   Frames are hand-built (valid UDP all the way through bob's stack, the
-   payload carrying a tag the capture can read) and injected at bob's
-   ingress via Testbed.process_batch. The same frame list at batch=1 and
-   at a larger batch must give identical deliveries, identical engine
-   stats, and an identical binary event log — including when DELAY steals
-   a frame mid-batch, REORDER's window spans a chunk boundary, or STOP
-   cuts the batch short. *)
-
-let batch_frame tag =
-  let payload = Bytes.make 32 'p' in
-  Bytes.blit_string tag 0 payload 0 (min (String.length tag) 8);
-  let udp =
-    Vw_net.Udp.to_bytes ~src:alice_ip ~dst:bob_ip
-      (Vw_net.Udp.make ~src_port:5000 ~dst_port:5001 payload)
-  in
-  let ip =
-    Vw_net.Ipv4.make ~protocol:Vw_net.Ipv4.protocol_udp ~src:alice_ip
-      ~dst:bob_ip udp
-  in
-  Vw_net.Eth.make
-    ~dst:(Vw_net.Mac.of_string "02:00:00:00:00:0b")
-    ~src:(Vw_net.Mac.of_string "02:00:00:00:00:0a")
-    ~ethertype:Vw_net.Eth.ethertype_ipv4 (Vw_net.Ipv4.to_bytes ip)
-
-let batch_frames n = List.init n (fun i -> batch_frame (Printf.sprintf "%03d" (i + 1)))
-
-(* bob (nid 1) is the controller so STOP executes locally and reaches the
-   sim engine synchronously, mid-batch — as it would mid-fold. *)
-let batch_testbed src =
-  let testbed =
-    Testbed.create
-      [
-        ("alice", Vw_net.Mac.of_string "02:00:00:00:00:0a", alice_ip);
-        ("bob", Vw_net.Mac.of_string "02:00:00:00:00:0b", bob_ip);
-      ]
-  in
-  Testbed.enable_observability testbed;
-  let tables = compile src in
-  let nodes = [ Testbed.node testbed "alice"; Testbed.node testbed "bob" ] in
-  List.iter
-    (fun node ->
-      let fie = Testbed.fie node in
-      Fie.set_report_handler fie (fun _ -> Engine.stop (Testbed.engine testbed));
-      match Fie.init_local fie ~controller_nid:1 tables with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "init: %s" e)
-    nodes;
-  List.iter (fun node -> Fie.start_local (Testbed.fie node)) nodes;
-  let arrivals = ref [] in
-  let bob = Testbed.host (Testbed.node testbed "bob") in
-  Host.udp_bind bob ~port:5001 (fun ~src:_ ~src_port:_ payload ->
-      arrivals := Bytes.sub_string payload 0 3 :: !arrivals);
-  (testbed, arrivals)
-
-(* one run: inject [n] tagged frames at bob's ingress in chunks of
-   [batch], drain, and return every observable the batch must preserve *)
-let batch_run ~scenario ~batch ~n src =
-  let testbed, arrivals = batch_testbed src in
-  let bob = Testbed.node testbed "bob" in
-  let processed =
-    Testbed.process_batch ~batch testbed bob Vw_stack.Hook.Ingress
-      (batch_frames n)
-  in
-  Testbed.run testbed ~until:(Simtime.sec 1.0) ();
-  let stats = Fie.stats_fields (Fie.stats (Testbed.fie bob)) in
-  let events =
-    match Testbed.events_binary testbed ~scenario with
-    | Some s -> s
-    | None -> Alcotest.fail "no binary event log"
-  in
-  (processed, List.rev !arrivals, stats, events)
-
-let same_at_every_batch_size ?(sizes = [ 2; 3; 32 ]) ~scenario ~n src =
-  let reference = batch_run ~scenario ~batch:1 ~n src in
-  List.iter
-    (fun batch ->
-      let got = batch_run ~scenario ~batch ~n src in
-      let r_processed, r_arrivals, r_stats, r_events = reference in
-      let g_processed, g_arrivals, g_stats, g_events = got in
-      let name fmt = Printf.sprintf "batch=%d: %s" batch fmt in
-      check Alcotest.int (name "frames processed") r_processed g_processed;
-      check
-        (Alcotest.list Alcotest.string)
-        (name "deliveries") r_arrivals g_arrivals;
-      check
-        (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
-        (name "engine stats") r_stats g_stats;
-      check Alcotest.bool (name "binary event log byte-identical") true
-        (String.equal r_events g_events))
-    sizes;
-  reference
-
-let test_batch_equals_single () =
-  let src =
-    script ~header:"batch_parity"
-      ~rules:
-        {|
-PING_R: (udp_ping, alice, bob, RECV)
-(TRUE) >> ENABLE_CNTR( PING_R );
-((PING_R = 3)) >> DROP( udp_ping, alice, bob, RECV );
-((PING_R = 5)) >> DUP( udp_ping, alice, bob, RECV );
-|}
-  in
-  let processed, arrivals, _, _ =
-    same_at_every_batch_size ~scenario:"batch_parity" ~n:12 src
-  in
-  check Alcotest.int "all frames processed" 12 processed;
-  (* frame 3 dropped, frame 5 duplicated: 12 deliveries *)
-  check Alcotest.int "deliveries" 12 (List.length arrivals);
-  check Alcotest.bool "frame 3 missing" false (List.mem "003" arrivals);
-  check Alcotest.int "frame 5 twice" 2
-    (List.length (List.filter (String.equal "005") arrivals))
-
-let test_batch_delay_mid_batch () =
-  (* the DELAY steals frame 2 inside a 5-frame batch; its timer matures
-     after the batch returns, and it must arrive last — exactly as when
-     the frames are processed one by one *)
-  let src =
-    script ~header:"batch_delay"
-      ~rules:
-        {|
-PING_R: (udp_ping, alice, bob, RECV)
-(TRUE) >> ENABLE_CNTR( PING_R );
-((PING_R = 2)) >> DELAY( udp_ping, alice, bob, RECV, 10ms );
-|}
-  in
-  let _, arrivals, _, _ =
-    same_at_every_batch_size ~sizes:[ 5; 2 ] ~scenario:"batch_delay" ~n:5 src
-  in
-  check
-    (Alcotest.list Alcotest.string)
-    "delayed frame overtaken"
-    [ "001"; "003"; "004"; "005"; "002" ]
-    arrivals
-
-let test_batch_reorder_across_boundary () =
-  (* a 3-frame REORDER window filled by chunks of 2: the buffer must
-     straddle the chunk boundary and release 3-1-2 once the third frame
-     lands in the second chunk *)
-  let src =
-    script ~header:"batch_reorder"
-      ~rules:
-        {|
-PING_R: (udp_ping, alice, bob, RECV)
-(TRUE) >> ENABLE_CNTR( PING_R );
-((PING_R >= 1)) >> REORDER( udp_ping, alice, bob, RECV, 3, [3 1 2] );
-|}
-  in
-  let _, arrivals, _, _ =
-    same_at_every_batch_size ~sizes:[ 2; 3 ] ~scenario:"batch_reorder" ~n:3 src
-  in
-  check
-    (Alcotest.list Alcotest.string)
-    "window released 3 1 2 across the boundary"
-    [ "003"; "001"; "002" ]
-    arrivals
-
-let test_batch_stop_cuts_short () =
-  (* STOP on the third frame: the triggering frame's verdict still
-     applies, the tail of the batch is never processed, and the stats a
-     pre-classification pass accumulated for that tail are reconciled
-     away — identical to the one-by-one world *)
-  let src =
-    script ~header:"batch_stop"
-      ~rules:
-        {|
-PING_R: (udp_ping, alice, bob, RECV)
-(TRUE) >> ENABLE_CNTR( PING_R );
-((PING_R = 3)) >> STOP;
-|}
-  in
-  let processed, arrivals, stats, _ =
-    same_at_every_batch_size ~sizes:[ 10; 4 ] ~scenario:"batch_stop" ~n:10 src
-  in
-  check Alcotest.int "batch cut short at the STOP frame" 3 processed;
-  check
-    (Alcotest.list Alcotest.string)
-    "the STOP frame itself was still delivered"
-    [ "001"; "002"; "003" ]
-    arrivals;
-  check (Alcotest.option Alcotest.int) "inspected exactly the processed head"
-    (Some 3)
-    (List.assoc_opt "packets_inspected" stats)
-
 let suite =
   [
     ( "engine.classifier",
@@ -1456,21 +1244,9 @@ let suite =
         Alcotest.test_case "mask matching" `Quick test_classify_mask;
         Alcotest.test_case "variable binding" `Quick test_classify_var_binding;
         Alcotest.test_case "truncated frames" `Quick test_classify_truncated_frame;
-        qtest prop_indexed_equals_linear;
         qtest prop_compiled_equals_linear;
         Alcotest.test_case "compiled eval_term / eval_cond" `Quick
           test_compiled_eval_term_cond;
-      ] );
-    ( "engine.batch",
-      [
-        Alcotest.test_case "batch == fold of process_one" `Quick
-          test_batch_equals_single;
-        Alcotest.test_case "DELAY steals a frame mid-batch" `Quick
-          test_batch_delay_mid_batch;
-        Alcotest.test_case "REORDER window spans a chunk boundary" `Quick
-          test_batch_reorder_across_boundary;
-        Alcotest.test_case "STOP cuts the batch short" `Quick
-          test_batch_stop_cuts_short;
       ] );
     ( "engine.counters",
       [

@@ -413,6 +413,44 @@ let test_codec_rejects_garbage () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "truncated tables accepted"
 
+(* The decoder enforces the compiler's tuple invariant: a width in [1;8]
+   and a literal pattern and mask of exactly that width. A table breaking
+   it would otherwise decode and then fail at INIT, in [Tables.compile]. *)
+let codec_rejects_tuple tuple () =
+  let t = compile_ok Vw_scripts.tcp_ss_ca in
+  let filters = Array.copy t.Tables.filters in
+  filters.(0) <- { (filters.(0)) with Tables.f_tuples = [ tuple ] };
+  let enc = Tables_codec.to_bytes { t with Tables.filters } in
+  match Tables_codec.of_bytes enc with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "malformed tuple accepted"
+
+let lit n = Tables.Bytes_pattern (Bytes.make n '\x01')
+
+let bad_tuples =
+  [
+    ( "rejects a 0-byte tuple",
+      {
+        Tables.t_offset = 12;
+        t_len = 0;
+        t_mask = None;
+        t_pat = Tables.Var_pattern 0;
+      } );
+    ( "rejects a 9-byte tuple",
+      { Tables.t_offset = 12; t_len = 9; t_mask = None; t_pat = lit 9 } );
+    ( "rejects a pattern wider than its tuple",
+      { Tables.t_offset = 12; t_len = 2; t_mask = None; t_pat = lit 9 } );
+    ( "rejects a pattern narrower than its tuple",
+      { Tables.t_offset = 12; t_len = 2; t_mask = None; t_pat = lit 1 } );
+    ( "rejects a mask wider than its tuple",
+      {
+        Tables.t_offset = 12;
+        t_len = 2;
+        t_mask = Some (Bytes.make 3 '\xff');
+        t_pat = lit 2;
+      } );
+  ]
+
 (* --- the compile cache --- *)
 
 let test_cache_hit_is_fresh_compile () =
@@ -545,5 +583,9 @@ let suite =
         Alcotest.test_case "rejects garbage" `Quick test_codec_rejects_garbage;
         qtest prop_wire_i64_roundtrip;
         qtest prop_wire_bytes_roundtrip;
-      ] );
+      ]
+      @ List.map
+          (fun (name, tuple) ->
+            Alcotest.test_case name `Quick (codec_rejects_tuple tuple))
+          bad_tuples );
   ]

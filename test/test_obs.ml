@@ -99,16 +99,16 @@ let sample_bodies =
     Ev.Report_raised { nid = 1; rule = None };
   ]
 
-(* The binary ring must wrap exactly like the legacy typed array: same
-   retained tail, same [dropped] count, same [truncated] flag — that is
-   what keeps the stderr warning and the obs.events_truncated metric
-   honest now that Binary is the default sink. *)
+(* A ring that wraps must retain exactly the tail of what a ring large
+   enough never to wrap records: same events, with every slot the wrap
+   overwrote counted in [dropped] and flagged by [truncated] — that is what
+   keeps the stderr warning and the obs.events_truncated metric honest. *)
 let test_binary_wrap_parity () =
-  let run mode =
+  let run capacity =
     let seq = ref 0 in
     let now = ref Simtime.zero in
     let r =
-      Rec.create ~mode ~capacity:4 ~node:"n" ~clock:(fun () -> !now) ~seq ()
+      Rec.create ~capacity ~node:"n" ~clock:(fun () -> !now) ~seq ()
     in
     List.iteri
       (fun i body ->
@@ -118,16 +118,19 @@ let test_binary_wrap_parity () =
       sample_bodies;
     (Rec.events r, Rec.dropped r, Rec.truncated r)
   in
-  let evs_b, dropped_b, trunc_b = run Rec.Binary in
-  let evs_t, dropped_t, trunc_t = run Rec.Typed in
-  check Alcotest.int "both retain capacity" 4 (List.length evs_b);
-  check Alcotest.int "same dropped count" dropped_t dropped_b;
-  check Alcotest.int "dropped = overflow" 6 dropped_b;
-  check Alcotest.bool "both truncated" true (trunc_b && trunc_t);
-  check (Alcotest.list ev_t) "identical retained tail" evs_t evs_b
+  let evs_w, dropped_w, trunc_w = run 4 in
+  let evs_all, dropped_all, trunc_all = run 1024 in
+  check Alcotest.int "wrapped ring retains capacity" 4 (List.length evs_w);
+  check Alcotest.int "dropped = overflow" 6 dropped_w;
+  check Alcotest.bool "wrapped ring truncated" true trunc_w;
+  check Alcotest.int "large ring dropped nothing" 0 dropped_all;
+  check Alcotest.bool "large ring not truncated" false trunc_all;
+  check (Alcotest.list ev_t) "retained tail = newest of the full log"
+    (List.filteri (fun i _ -> i >= 6) evs_all)
+    evs_w
 
 (* Each specialized no-allocation emitter must record exactly what the
-   generic [emit] would for the equivalent body, in both modes. *)
+   generic [emit] would for the equivalent body. *)
 let test_emitter_parity () =
   let cases =
     [
@@ -167,32 +170,22 @@ let test_emitter_parity () =
   in
   (* the packet_classified emitter is a root; give every recorder a live
      causal context first so root/non-root behaviour is observable *)
-  List.iter
-    (fun mode ->
-      let record emitters =
-        let seq = ref 0 in
-        let r =
-          Rec.create ~mode ~node:"n" ~clock:(fun () -> Simtime.ms 3) ~seq ()
-        in
-        ignore (Rec.emit_packet_classified r ~point:Ev.Ingress ~fid:0);
-        List.iter (fun f -> ignore (f r)) emitters;
-        Rec.events r
-      in
-      let specialized = record (List.map (fun (_, _, f) -> f) cases) in
-      let generic =
-        record
-          (List.map
-             (fun (root, body, _) r ->
-               if root then Rec.emit_root r body else Rec.emit r body)
-             cases)
-      in
-      check
-        (Alcotest.list ev_t)
-        (match mode with
-        | Rec.Binary -> "binary: specialized = generic"
-        | Rec.Typed -> "typed: specialized = generic")
-        generic specialized)
-    [ Rec.Binary; Rec.Typed ]
+  let record emitters =
+    let seq = ref 0 in
+    let r = Rec.create ~node:"n" ~clock:(fun () -> Simtime.ms 3) ~seq () in
+    ignore (Rec.emit_packet_classified r ~point:Ev.Ingress ~fid:0);
+    List.iter (fun f -> ignore (f r)) emitters;
+    Rec.events r
+  in
+  let specialized = record (List.map (fun (_, _, f) -> f) cases) in
+  let generic =
+    record
+      (List.map
+         (fun (root, body, _) r ->
+           if root then Rec.emit_root r body else Rec.emit r body)
+         cases)
+  in
+  check (Alcotest.list ev_t) "specialized = generic" generic specialized
 
 (* the point of the binary sink: zero words allocated per event once the
    ring has reached steady state *)
@@ -772,62 +765,6 @@ let test_explain_bad_rule () =
     (Invalid_argument "Explain.rule_deps: no rule 7") (fun () ->
       ignore (Explain.rule_deps tables ~rule:7))
 
-(* --- batched recording: batch_begin/batch_end must be unobservable --- *)
-
-let test_batch_emission_byte_identical () =
-  (* the same emission sequence wrapped in batch_begin/batch_end vs not:
-     byte-identical binary export and identical drop accounting — also
-     when the ring wraps mid-batch, and when the hint overshoots the
-     capacity *)
-  let emit_sequence r =
-    for i = 0 to 9 do
-      ignore
-        (Rec.emit_root r (Ev.Packet_classified { point = Ev.Ingress; fid = i }));
-      ignore (Rec.emit r (Ev.Counter_changed { cid = 0; value = i; delta = 1 }))
-    done
-  in
-  let capture ~capacity ~batched =
-    let seq = ref 0 in
-    let r =
-      Rec.create ~mode:Rec.Binary ~capacity ~node:"n"
-        ~clock:(fun () -> Simtime.ms 7)
-        ~seq ()
-    in
-    if batched then Rec.batch_begin r ~hint:64;
-    emit_sequence r;
-    if batched then Rec.batch_end r;
-    let buf = Buffer.create 256 in
-    Rec.append_binary buf r;
-    (Buffer.contents buf, Rec.dropped r, Rec.length r)
-  in
-  List.iter
-    (fun capacity ->
-      check
-        Alcotest.(triple string int int)
-        (Printf.sprintf "capacity %d" capacity)
-        (capture ~capacity ~batched:false)
-        (capture ~capacity ~batched:true))
-    [ 64; 8 (* 8 < 20 events: the ring wraps mid-batch *) ]
-
-let test_batch_end_restores_live_clock () =
-  let seq = ref 0 in
-  let now = ref Simtime.zero in
-  let r = Rec.create ~mode:Rec.Typed ~node:"n" ~clock:(fun () -> !now) ~seq () in
-  Rec.batch_begin r ~hint:4;
-  (* the sim clock cannot advance mid-batch; a test's can — the cached
-     stamp must win until batch_end *)
-  now := Simtime.ms 9;
-  ignore (Rec.emit_root r (Ev.Condition_rose { did = 0 }));
-  Rec.batch_end r;
-  ignore (Rec.emit_root r (Ev.Condition_rose { did = 1 }));
-  match Rec.events r with
-  | [ a; b ] ->
-      check Alcotest.int "batched event at the cached time" Simtime.zero
-        a.Ev.time;
-      check Alcotest.int "post-batch event back on the live clock"
-        (Simtime.ms 9) b.Ev.time
-  | es -> Alcotest.failf "expected 2 events, got %d" (List.length es)
-
 let suite =
   [
     ( "obs.recorder",
@@ -836,14 +773,10 @@ let suite =
         Alcotest.test_case "ring wrap" `Quick test_recorder_wrap;
         Alcotest.test_case "shared sequence counter" `Quick
           test_recorders_share_seq;
-        Alcotest.test_case "batched emission byte-identical" `Quick
-          test_batch_emission_byte_identical;
-        Alcotest.test_case "batch_end restores the live clock" `Quick
-          test_batch_end_restores_live_clock;
       ] );
     ( "obs.binlog",
       [
-        Alcotest.test_case "binary ring wraps like typed" `Quick
+        Alcotest.test_case "wrapped ring = unwrapped tail" `Quick
           test_binary_wrap_parity;
         Alcotest.test_case "specialized emitters match generic" `Quick
           test_emitter_parity;

@@ -4,7 +4,8 @@
      by corrupting data invisibly);
    - the shared-bus MAC must never wedge or lose frames silently
      (regression for a same-instant completion/attempt race);
-   - the wire codecs must be total on garbage;
+   - the wire codecs must be total on garbage, and a tables frame they
+     accept must compile;
    - a diverging rule cascade must be reported, not loop forever. *)
 
 open Vw_sim
@@ -219,6 +220,53 @@ let prop_packet_codecs_total =
       (match Vw_net.Frame_view.of_bytes b with Some _ | None -> ());
       true)
 
+(* --- decoded tables always compile ---
+
+   Valid encodings of the bundled scripts and of generated ones, each hit
+   by 1-3 random byte mutations. A mutant the decoder accepts is one a
+   node would take at INIT, so [Tables.compile] must not raise on it. *)
+
+let valid_encodings =
+  lazy
+    (let encode t = Vw_fsl.Tables_codec.to_bytes t in
+     let bundled =
+       List.map
+         (fun src ->
+           match Vw_fsl.Compile.parse_and_compile src with
+           | Ok t -> encode t
+           | Error e -> failwith e)
+         [ Vw_scripts.tcp_ss_ca; Vw_scripts.rether_failure; Vw_scripts.udp_drop_dup ]
+     in
+     let generated =
+       List.init 20 (fun seed ->
+           encode
+             (Vw_fsl.Compile.compile_exn
+                (Vw_check.Gen.generate ~seed).Vw_check.Gen.script))
+     in
+     Array.of_list (bundled @ generated))
+
+let prop_decoded_tables_compile =
+  QCheck.Test.make ~name:"mutated tables that decode always compile"
+    ~count:2000
+    QCheck.(
+      pair (int_bound 1_000_000)
+        (list_of_size (Gen.int_range 1 3)
+           (pair (int_bound 1_000_000) (int_bound 255))))
+    (fun (which, mutations) ->
+      let encs = Lazy.force valid_encodings in
+      let b = Bytes.copy encs.(which mod Array.length encs) in
+      List.iter
+        (fun (pos, v) -> Bytes.set b (pos mod Bytes.length b) (Char.chr v))
+        mutations;
+      match Vw_fsl.Tables_codec.of_bytes b with
+      | Error _ -> true
+      | Ok t -> (
+          match Vw_fsl.Tables.compile t with
+          | _ -> true
+          | exception e ->
+              QCheck.Test.fail_reportf "decoded, then compile raised %s"
+                (Printexc.to_string e)))
+
 (* --- cascade divergence is reported, not looped --- *)
 
 let test_cascade_divergence_reported () =
@@ -281,6 +329,7 @@ let suite =
       [
         qtest prop_control_codec_total;
         qtest prop_tables_codec_total;
+        qtest prop_decoded_tables_compile;
         qtest prop_packet_codecs_total;
       ] );
     ( "stress.cascade",
