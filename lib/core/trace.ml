@@ -5,49 +5,49 @@ type entry = {
   frame : Vw_net.Eth.t;
 }
 
-(* circular buffer: [head] is the next write slot; once full, recording
-   overwrites the oldest entry, so the retained window is always the most
-   recent [capacity] frames *)
+(* drop-oldest: once [capacity] entries are retained, recording first drops
+   the oldest, so the retained window is always the most recent [capacity]
+   frames *)
 type t = {
   capacity : int;
-  ring : entry option array;
-  mutable head : int;
-  mutable count : int; (* retained entries, <= capacity *)
-  mutable dropped : int; (* overwritten entries *)
+  ring : entry Vw_util.Ring.t;
+  mutable dropped : int;
 }
+
+let no_entry =
+  {
+    time = Vw_sim.Simtime.zero;
+    node = "";
+    dir = `In;
+    frame =
+      Vw_net.Eth.make ~dst:Vw_net.Mac.broadcast ~src:Vw_net.Mac.broadcast
+        ~ethertype:0 Bytes.empty;
+  }
 
 let create ?(capacity = 1_000_000) () =
   if capacity < 1 then invalid_arg "Trace.create: capacity must be positive";
-  { capacity; ring = Array.make capacity None; head = 0; count = 0; dropped = 0 }
+  { capacity; ring = Vw_util.Ring.create ~dummy:no_entry; dropped = 0 }
 
 let record t ~time ~node ~dir frame =
-  if t.count = t.capacity then t.dropped <- t.dropped + 1
-  else t.count <- t.count + 1;
-  t.ring.(t.head) <- Some { time; node; dir; frame };
-  t.head <- (t.head + 1) mod t.capacity
+  if Vw_util.Ring.length t.ring = t.capacity then begin
+    ignore (Vw_util.Ring.take t.ring);
+    t.dropped <- t.dropped + 1
+  end;
+  Vw_util.Ring.add t.ring { time; node; dir; frame }
 
-let iter t f =
-  (* oldest first: when full, the oldest entry sits at [head] *)
-  let start = if t.count = t.capacity then t.head else 0 in
-  for i = 0 to t.count - 1 do
-    match t.ring.((start + i) mod t.capacity) with
-    | Some e -> f e
-    | None -> ()
-  done
+let iter t f = Vw_util.Ring.iter t.ring f
 
 let entries t =
   let acc = ref [] in
   iter t (fun e -> acc := e :: !acc);
   List.rev !acc
 
-let length t = t.count
+let length t = Vw_util.Ring.length t.ring
 let dropped t = t.dropped
 let truncated t = t.dropped > 0
 
 let clear t =
-  Array.fill t.ring 0 t.capacity None;
-  t.head <- 0;
-  t.count <- 0;
+  Vw_util.Ring.clear t.ring;
   t.dropped <- 0
 
 let filter t pred = List.filter pred (entries t)

@@ -17,10 +17,10 @@ type entry = {
 type t
 
 val create : ?capacity:int -> unit -> t
-(** [capacity] bounds memory (default 1_000_000 entries). The trace is a
-    ring: beyond capacity the {e oldest} entries are overwritten, so the
-    retained window is always the most recent [capacity] frames and
-    [truncated] turns true.
+(** [capacity] bounds retention (default 1_000_000 entries). The trace is a
+    ring that grows with the traffic, not to [capacity] up front; beyond
+    capacity the {e oldest} entries are dropped, so the retained window is
+    always the most recent [capacity] frames and [truncated] turns true.
     @raise Invalid_argument if [capacity < 1]. *)
 
 val record :
@@ -34,7 +34,7 @@ val length : t -> int
 (** Retained entries (≤ capacity). *)
 
 val dropped : t -> int
-(** Entries overwritten after the ring filled. *)
+(** Oldest entries dropped to stay within capacity. *)
 
 val truncated : t -> bool
 val clear : t -> unit

@@ -5,8 +5,6 @@ type 'a t = {
   label : string;
   verdict : verdict;
   payload : 'a option;
-  log : string;
-  artifacts : (string * string) list;
 }
 
 let passed o = match o.verdict with Pass -> true | Fail | Crash _ -> false

@@ -4,7 +4,9 @@ type stats = {
   mutable filtered : int;
 }
 
-(* Every frame leaves [processing_delay] after it arrived, so each port's
+let switching_delay = Vw_sim.Simtime.us 2
+
+(* Every frame leaves [switching_delay] after it arrived, so each port's
    frames leave in the order they were switched: a forwarding event takes
    the head of its port's [pending] ring, through a callback allocated
    once per port. *)
@@ -16,16 +18,14 @@ type port = {
 
 type t = {
   engine : Vw_sim.Engine.t;
-  processing_delay : Vw_sim.Simtime.t;
   mutable ports : port array;
   table : (int, int) Hashtbl.t; (* 48-bit MAC, read in place -> port *)
   stats : stats;
 }
 
-let create ?(processing_delay = Vw_sim.Simtime.us 2) engine () =
+let create engine =
   {
     engine;
-    processing_delay;
     ports = [||];
     table = Hashtbl.create 16;
     stats = { forwarded = 0; flooded = 0; filtered = 0 };
@@ -35,7 +35,7 @@ let emit t port_idx data =
   let port = t.ports.(port_idx) in
   Vw_util.Ring.add port.pending data;
   ignore
-    (Vw_sim.Engine.schedule_after t.engine ~delay:t.processing_delay
+    (Vw_sim.Engine.schedule_after t.engine ~delay:switching_delay
        port.forward)
 
 let flood t ~ingress data =
@@ -76,4 +76,3 @@ let learned_ports t =
       (Vw_net.Mac.of_bytes b ~pos:0, port) :: acc)
     t.table []
   |> List.sort compare
-let port_count t = Array.length t.ports

@@ -17,9 +17,8 @@ type stats = {
   mutable filtered : int;  (** destination learned on the ingress port *)
 }
 
-val create :
-  ?processing_delay:Vw_sim.Simtime.t -> Vw_sim.Engine.t -> unit -> t
-(** [processing_delay] defaults to 2 µs. *)
+val create : Vw_sim.Engine.t -> t
+(** Every frame leaves the switch 2 µs after it arrived. *)
 
 val attach : t -> Link.endpoint -> int
 (** Hands a link endpoint to the switch; returns the port number. The switch
@@ -29,5 +28,3 @@ val stats : t -> stats
 val learned_ports : t -> (Vw_net.Mac.t * int) list
 (** Every source MAC learned so far with its port, in ascending MAC
     order. *)
-
-val port_count : t -> int

@@ -197,22 +197,6 @@ let of_fields ~kind ~aux ~a ~b ~c =
    characters needing escapes beyond the JSON basics, but escape anyway so
    the stream stays parseable whatever a script names its nodes. *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let add_ctl_fields b = function
   | C_init | C_start -> ()
   | C_counter_update { cid; value } ->
@@ -230,7 +214,8 @@ let to_json e =
   let b = Buffer.create 160 in
   Buffer.add_string b
     (Printf.sprintf "{\"seq\":%d,\"time_ns\":%d,\"node\":\"%s\",\"nid\":%d,\"cause\":%d,\"kind\":\"%s\""
-       e.seq e.time (json_escape e.node) e.nid e.cause (kind_name e.body));
+       e.seq e.time (Vw_util.Escape.json e.node) e.nid e.cause
+       (kind_name e.body));
   (match e.body with
   | Packet_classified { point; fid } ->
       Buffer.add_string b

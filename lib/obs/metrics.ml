@@ -105,19 +105,6 @@ let histograms t =
 
 (* --- JSON (schema "vw-metrics/1") --- *)
 
-let add_json_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
 let add_int_array b a =
   Buffer.add_char b '[';
   Array.iteri
@@ -135,7 +122,7 @@ let to_json t =
     (fun i (name, v) ->
       Buffer.add_string b (if i = 0 then "\n" else ",\n");
       Buffer.add_string b "    ";
-      add_json_string b name;
+      Buffer.add_string b ("\"" ^ Vw_util.Escape.json name ^ "\"");
       Buffer.add_string b (Printf.sprintf ": %d" v))
     cs;
   Buffer.add_string b (if cs = [] then "},\n" else "\n  },\n");
@@ -145,7 +132,7 @@ let to_json t =
     (fun i (name, h) ->
       Buffer.add_string b (if i = 0 then "\n" else ",\n");
       Buffer.add_string b "    ";
-      add_json_string b name;
+      Buffer.add_string b ("\"" ^ Vw_util.Escape.json name ^ "\"");
       Buffer.add_string b ": { \"bounds\": ";
       add_int_array b h.bounds;
       Buffer.add_string b ", \"counts\": ";

@@ -145,25 +145,14 @@ let coverage ?scenario t =
 
 (* --- JSON (schema "vw-campaign/1") --- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let summary_json ?(extra = []) t =
   let b = Buffer.create 512 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   add "{\n  \"schema\": \"vw-campaign/1\",\n  \"command\": \"%s\",\n"
-    (json_escape t.command);
-  List.iter (fun (k, v) -> add "  \"%s\": %s,\n" (json_escape k) v) extra;
+    (Vw_util.Escape.json t.command);
+  List.iter
+    (fun (k, v) -> add "  \"%s\": %s,\n" (Vw_util.Escape.json k) v)
+    extra;
   add "  \"total\": %d,\n  \"passed\": %d,\n  \"failed\": %d,\n" (total t)
     (passed t) (failed t);
   add "  \"entries\": [";
@@ -171,25 +160,12 @@ let summary_json ?(extra = []) t =
     (fun i e ->
       add "%s    { \"name\": \"%s\", \"ok\": %b, \"detail\": \"%s\" }"
         (if i = 0 then "\n" else ",\n")
-        (json_escape e.e_name) e.e_ok (json_escape e.e_detail))
+        (Vw_util.Escape.json e.e_name) e.e_ok (Vw_util.Escape.json e.e_detail))
     t.entries;
   add "%s  ]\n}\n" (if t.entries = [] then "" else "\n");
   Buffer.contents b
 
 (* --- HTML index --- *)
-
-let html_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '&' -> Buffer.add_string b "&amp;"
-      | '<' -> Buffer.add_string b "&lt;"
-      | '>' -> Buffer.add_string b "&gt;"
-      | '"' -> Buffer.add_string b "&quot;"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 let html_index ?title t =
   let title =
@@ -198,7 +174,7 @@ let html_index ?title t =
   let b = Buffer.create 2048 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   add "<!DOCTYPE html>\n<html>\n<head>\n<meta charset=\"utf-8\">\n";
-  add "<title>%s</title>\n<style>\n" (html_escape title);
+  add "<title>%s</title>\n<style>\n" (Vw_util.Escape.html title);
   add
     "body { font-family: sans-serif; margin: 2em; color: #222; }\n\
      table { border-collapse: collapse; min-width: 40em; }\n\
@@ -207,7 +183,7 @@ let html_index ?title t =
      .ok { color: #1a7f37; font-weight: bold; }\n\
      .fail { color: #cf222e; font-weight: bold; }\n\
      .summary { margin: 1em 0; }\n";
-  add "</style>\n</head>\n<body>\n<h1>%s</h1>\n" (html_escape title);
+  add "</style>\n</head>\n<body>\n<h1>%s</h1>\n" (Vw_util.Escape.html title);
   add "<p class=\"summary\">%d cases: <span class=\"ok\">%d passed</span>"
     (total t) (passed t);
   if failed t > 0 then
@@ -218,14 +194,14 @@ let html_index ?title t =
       let name =
         match e.e_href with
         | Some href ->
-            Printf.sprintf "<a href=\"%s\">%s</a>" (html_escape href)
-              (html_escape e.e_name)
-        | None -> html_escape e.e_name
+            Printf.sprintf "<a href=\"%s\">%s</a>" (Vw_util.Escape.html href)
+              (Vw_util.Escape.html e.e_name)
+        | None -> Vw_util.Escape.html e.e_name
       in
       add "<tr><td class=\"%s\">%s</td><td>%s</td><td>%s</td></tr>\n"
         (if e.e_ok then "ok" else "fail")
         (if e.e_ok then "OK" else "FAILED")
-        name (html_escape e.e_detail))
+        name (Vw_util.Escape.html e.e_detail))
     t.entries;
   add "</table>\n</body>\n</html>\n";
   Buffer.contents b

@@ -3,19 +3,6 @@ module T = Vw_fsl.Tables
 module Explain = Vw_core.Explain
 module Scenario = Vw_core.Scenario
 
-let html_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '&' -> Buffer.add_string b "&amp;"
-      | '<' -> Buffer.add_string b "&lt;"
-      | '>' -> Buffer.add_string b "&gt;"
-      | '"' -> Buffer.add_string b "&quot;"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let kind_color = function
   | "packet_classified" -> "#4e79a7"
   | "counter_changed" -> "#f28e2b"
@@ -60,7 +47,7 @@ let add_summary b ~(cover : Coverage.t) ~events ?result () =
   | Some (r : Scenario.result) ->
       add "<span class=\"chip\">outcome: <span class=\"%s\">%s</span></span>"
         (if Scenario.passed r then "ok" else "bad")
-        (html_escape (Scenario.outcome_to_string r.Scenario.outcome));
+        (Vw_util.Escape.html (Scenario.outcome_to_string r.Scenario.outcome));
       add "<span class=\"chip\">errors: <span class=\"%s\">%d</span></span>"
         (if r.Scenario.errors = [] then "ok" else "bad")
         (List.length r.Scenario.errors);
@@ -84,7 +71,7 @@ let add_coverage b (cover : Coverage.t) =
       add "<tr%s><td>rule %d</td><td class=\"num\">%d</td><td>%s</td></tr>\n"
         (if r.Coverage.rule_fired = 0 then " class=\"dead\"" else "")
         r.Coverage.rule r.Coverage.rule_fired
-        (html_escape (Coverage.stage_name r.Coverage.furthest)))
+        (Vw_util.Escape.html (Coverage.stage_name r.Coverage.furthest)))
     cover.Coverage.rules;
   add "</table>\n";
   add "<table><tr><th>filter</th><th>matched</th></tr>\n";
@@ -92,7 +79,7 @@ let add_coverage b (cover : Coverage.t) =
     (fun (f : Coverage.filter_cov) ->
       add "<tr%s><td>%s</td><td class=\"num\">%d</td></tr>\n"
         (if f.Coverage.matched = 0 then " class=\"dead\"" else "")
-        (html_escape f.Coverage.fname)
+        (Vw_util.Escape.html f.Coverage.fname)
         f.Coverage.matched)
     cover.Coverage.filters;
   add "</table>\n";
@@ -101,7 +88,7 @@ let add_coverage b (cover : Coverage.t) =
     (fun (c : Coverage.counter_cov) ->
       add "<tr%s><td>%s</td><td class=\"num\">%d</td></tr>\n"
         (if c.Coverage.changes = 0 then " class=\"dead\"" else "")
-        (html_escape c.Coverage.cname)
+        (Vw_util.Escape.html c.Coverage.cname)
         c.Coverage.changes)
     cover.Coverage.counters;
   add "</table>\n";
@@ -155,7 +142,7 @@ let add_timeline b (tables : T.t) events =
       (fun k ->
         add
           "<span><span class=\"dot\" style=\"background:%s\"></span>%s</span>"
-          (kind_color k) (html_escape k))
+          (kind_color k) (Vw_util.Escape.html k))
       Ev.all_kind_names;
     add "</div>\n";
     add
@@ -167,7 +154,7 @@ let add_timeline b (tables : T.t) events =
         let y = 20 + (i * lane_h) in
         add
           "<text x=\"0\" y=\"%d\" font-size=\"12\" fill=\"#1c2330\">%s</text>\n"
-          (y + 4) (html_escape node);
+          (y + 4) (Vw_util.Escape.html node);
         add
           "<line x1=\"%d\" y1=\"%d\" x2=\"%d\" y2=\"%d\" stroke=\"#d7dce3\"/>\n"
           left y (width - 10) y)
@@ -197,8 +184,8 @@ let add_timeline b (tables : T.t) events =
             add
               "<circle cx=\"%d\" cy=\"%d\" r=\"3\" fill=\"%s\"><title>#%d %s \
                %s at %.6fs</title></circle>\n"
-              x y (kind_color kind) e.seq (html_escape e.node)
-              (html_escape kind)
+              x y (kind_color kind) e.seq (Vw_util.Escape.html e.node)
+              (Vw_util.Escape.html kind)
               (Vw_sim.Simtime.to_sec e.time))
       shown;
     add "</svg>\n"
@@ -211,7 +198,7 @@ let add_histograms b (mv : Metrics_view.t) =
   List.iter
     (fun (name, (h : Metrics_view.hist)) ->
       add "<h3>%s</h3>\n<p class=\"legend\">total %d, sum %d, max %d</p>\n"
-        (html_escape name) h.Metrics_view.total h.Metrics_view.sum
+        (Vw_util.Escape.html name) h.Metrics_view.total h.Metrics_view.sum
         h.Metrics_view.max_observed;
       let counts = h.Metrics_view.counts in
       let bounds = h.Metrics_view.bounds in
@@ -289,12 +276,12 @@ let add_errors b (tables : T.t) events =
                 add
                   "<h3 class=\"bad\">FLAG_ERROR from %s (rule %d) at \
                    %.6fs</h3>\n<pre>%s</pre>\n"
-                  (html_escape node_name) r
+                  (Vw_util.Escape.html node_name) r
                   (Vw_sim.Simtime.to_sec e.time)
-                  (html_escape (verdict_for r))
+                  (Vw_util.Escape.html (verdict_for r))
             | None ->
                 add "<h3>STOP reported by %s at %.6fs</h3>\n"
-                  (html_escape node_name)
+                  (Vw_util.Escape.html node_name)
                   (Vw_sim.Simtime.to_sec e.time))
         | _ -> ())
       reports
@@ -366,15 +353,15 @@ let add_cluster_table b ~journal ~clusters ~threshold =
         in
         add "<tr%s><td><code>%s</code>%s</td><td>%s</td><td class=\"num\">%d</td><td>"
           (if recurring then " class=\"dead\"" else "")
-          (html_escape c.Triage.signature)
+          (Vw_util.Escape.html c.Triage.signature)
           (if recurring then " <span class=\"bad\">recurring</span>" else "")
-          (html_escape c.Triage.oracle)
+          (Vw_util.Escape.html c.Triage.oracle)
           c.Triage.count;
         add_sparkline b ~total ~positions:(positions_of c.Triage.signature);
         add "</td><td>%s</td><td>%s</td><td>%s</td></tr>\n" seeds
-          (html_escape c.Triage.last.Journal.r_detail)
+          (Vw_util.Escape.html c.Triage.last.Journal.r_detail)
           (match c.Triage.repro with
-          | Some p -> "<code>" ^ html_escape p ^ "</code>"
+          | Some p -> "<code>" ^ Vw_util.Escape.html p ^ "</code>"
           | None -> "&mdash;"))
       clusters;
     add "</table>\n"
@@ -413,7 +400,7 @@ let add_scenario_health b ~journal ~(compare : Compare.t option) =
             | None -> "&mdash;"
           in
           add "<tr><td>%s</td><td>%s</td><td>%s</td><td class=\"num\">%d</td></tr>\n"
-            (html_escape name) old_cell (cell ok)
+            (Vw_util.Escape.html name) old_cell (cell ok)
             (Option.value ~default:0 (Hashtbl.find_opt failures_by_case name)))
         cmp.Compare.c_new.Compare.s_entries;
       add "</table>\n"
@@ -425,7 +412,7 @@ let add_scenario_health b ~journal ~(compare : Compare.t option) =
         |> List.sort compare_cases
         |> List.iter (fun (k, v) ->
                add "<tr><td>%s</td><td class=\"num\">%d</td></tr>\n"
-                 (html_escape k) v);
+                 (Vw_util.Escape.html k) v);
         add "</table>\n"
       end
 
@@ -450,7 +437,9 @@ let add_compare_section b (cmp : Compare.t) =
   add "</div>\n";
   if regs <> [] then begin
     add "<ul>\n";
-    List.iter (fun r -> add "<li class=\"bad\">%s</li>\n" (html_escape r)) regs;
+    List.iter
+      (fun r -> add "<li class=\"bad\">%s</li>\n" (Vw_util.Escape.html r))
+      regs;
     add "</ul>\n"
   end;
   if cmp.Compare.c_entry_changes <> [] then begin
@@ -464,9 +453,9 @@ let add_compare_section b (cmp : Compare.t) =
           | None -> "&mdash;"
         in
         add "<tr><td>%s</td><td>%s</td><td>%s</td><td>%s</td></tr>\n"
-          (html_escape ec.Compare.ec_name)
+          (Vw_util.Escape.html ec.Compare.ec_name)
           (cell ec.Compare.ec_old_ok) (cell ec.Compare.ec_new_ok)
-          (html_escape ec.Compare.ec_detail))
+          (Vw_util.Escape.html ec.Compare.ec_detail))
       cmp.Compare.c_entry_changes;
     add "</table>\n"
   end;
@@ -498,7 +487,7 @@ let add_compare_section b (cmp : Compare.t) =
           add
             "<tr><td>%s</td><td class=\"num\">%d</td>\
              <td class=\"num\">%d</td></tr>\n"
-            (html_escape d.Compare.nd_name)
+            (Vw_util.Escape.html d.Compare.nd_name)
             d.Compare.nd_old d.Compare.nd_new)
         ds;
       add "</table>\n"
@@ -523,11 +512,11 @@ let add_compare_section b (cmp : Compare.t) =
           "<tr><td><code>%s</code></td><td><span class=\"%s\">%s</span></td>\
            <td>%s</td><td class=\"num\">%d</td><td class=\"num\">%d</td>\
            <td>%s</td></tr>\n"
-          (html_escape sd.Compare.sd_signature)
+          (Vw_util.Escape.html sd.Compare.sd_signature)
           cls status
-          (html_escape sd.Compare.sd_oracle)
+          (Vw_util.Escape.html sd.Compare.sd_oracle)
           sd.Compare.sd_old_count sd.Compare.sd_new_count
-          (html_escape sd.Compare.sd_detail))
+          (Vw_util.Escape.html sd.Compare.sd_detail))
       cmp.Compare.c_sigs;
     add "</table>\n"
   end;
@@ -542,11 +531,11 @@ let add_compare_section b (cmp : Compare.t) =
           "<tr><td>%s</td><td class=\"num\">%.1f</td>\
            <td class=\"num\">%.1f</td><td class=\"num\">%+.1f%%</td>\
            <td><span class=\"%s\">%s</span></td></tr>\n"
-          (html_escape bm.Compare.bm_metric)
+          (Vw_util.Escape.html bm.Compare.bm_metric)
           bm.Compare.bm_old bm.Compare.bm_new bm.Compare.bm_delta_pct
           (if String.equal bm.Compare.bm_verdict "regressed" then "bad"
            else "ok")
-          (html_escape bm.Compare.bm_verdict))
+          (Vw_util.Escape.html bm.Compare.bm_verdict))
       cmp.Compare.c_bench;
     add "</table>\n"
   end
@@ -566,8 +555,8 @@ let render_fleet ?title ?(journal = []) ?clusters ?compare
   add
     "<!doctype html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n\
      <title>%s</title>\n<style>%s</style>\n</head>\n<body>\n"
-    (html_escape title) style;
-  add "<h1>%s</h1>\n" (html_escape title);
+    (Vw_util.Escape.html title) style;
+  add "<h1>%s</h1>\n" (Vw_util.Escape.html title);
   let recurring = List.length (Triage.recurring ~threshold clusters) in
   add "<div class=\"chips\">";
   add "<span class=\"chip\">journal failures: %d</span>" (List.length journal);
@@ -601,12 +590,13 @@ type conform_case = {
 
 let add_conform_case b (c : conform_case) =
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "<h2>%s <span class=\"%s\">%s</span></h2>\n" (html_escape c.cc_name)
+  add "<h2>%s <span class=\"%s\">%s</span></h2>\n"
+    (Vw_util.Escape.html c.cc_name)
     (if c.cc_ok then "ok" else "bad")
     (if c.cc_ok then "PASS" else "FAIL");
   add "<div class=\"chips\"><span class=\"chip\">outcome: %s</span>\
        <span class=\"chip\">expectations: %d</span></div>\n"
-    (html_escape c.cc_outcome)
+    (Vw_util.Escape.html c.cc_outcome)
     (List.length c.cc_expects);
   add
     "<table>\n\
@@ -617,13 +607,13 @@ let add_conform_case b (c : conform_case) =
       add
         "<tr><td><code>%s</code></td><td><span class=\"%s\">%s</span></td>\
          <td class=\"num\">%s</td><td>%s</td></tr>\n"
-        (html_escape x.ce_label)
+        (Vw_util.Escape.html x.ce_label)
         (if String.equal x.ce_status "pass" then "ok" else "bad")
-        (html_escape x.ce_status)
+        (Vw_util.Escape.html x.ce_status)
         (match x.ce_at_ms with
         | Some ms -> Printf.sprintf "%g" ms
         | None -> "&mdash;")
-        (html_escape x.ce_diagnosis))
+        (Vw_util.Escape.html x.ce_diagnosis))
     c.cc_expects;
   add "</table>\n"
 
@@ -633,8 +623,8 @@ let render_conform ?(title = "VirtualWire conformance report") cases =
   add
     "<!doctype html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n\
      <title>%s</title>\n<style>%s</style>\n</head>\n<body>\n"
-    (html_escape title) style;
-  add "<h1>%s</h1>\n" (html_escape title);
+    (Vw_util.Escape.html title) style;
+  add "<h1>%s</h1>\n" (Vw_util.Escape.html title);
   let failed = List.length (List.filter (fun c -> not c.cc_ok) cases) in
   add "<div class=\"chips\">";
   add "<span class=\"chip\">suites: %d</span>" (List.length cases);
@@ -658,8 +648,8 @@ let render ~tables ~events ?metrics ?result ?title () =
   add
     "<!doctype html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n\
      <title>%s</title>\n<style>%s</style>\n</head>\n<body>\n"
-    (html_escape title) style;
-  add "<h1>%s</h1>\n" (html_escape title);
+    (Vw_util.Escape.html title) style;
+  add "<h1>%s</h1>\n" (Vw_util.Escape.html title);
   add_summary b ~cover ~events ?result ();
   add_coverage b cover;
   add_timeline b tables events;

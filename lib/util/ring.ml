@@ -36,3 +36,13 @@ let take t =
   t.head <- (t.head + 1) land (Array.length t.buf - 1);
   t.len <- t.len - 1;
   x
+
+let iter t f =
+  for i = 0 to t.len - 1 do
+    f t.buf.((t.head + i) land (Array.length t.buf - 1))
+  done
+
+let clear t =
+  Array.fill t.buf 0 (Array.length t.buf) t.dummy;
+  t.head <- 0;
+  t.len <- 0

@@ -1,7 +1,8 @@
 (** Growable FIFO rings.
 
-    The per-frame paths (a link direction's transmit queue and the frames
-    on its wire, a switch port's forwarding queue) keep their frames here
+    The per-frame FIFOs below the FIE (a link direction's transmit queue
+    and the frames on its wire, a switch port's forwarding queue, a bus
+    endpoint's transmit queue, the trace tap) keep their frames here
     rather than in a [Queue.t] or in per-frame closures: once a ring has
     grown to the depth its traffic needs, adding and taking allocate
     nothing. *)
@@ -22,3 +23,9 @@ val peek : 'a t -> 'a
 
 val take : 'a t -> 'a
 (** Remove and return the head. @raise Invalid_argument if empty. *)
+
+val iter : 'a t -> ('a -> unit) -> unit
+(** Visit every element, head to tail. *)
+
+val clear : 'a t -> unit
+(** Remove every element, keeping the grown buffer. *)

@@ -361,6 +361,27 @@ let test_echo_round_trip_allocation () =
     Alcotest.failf "%.1f minor words per echo round trip (bound %.0f)" per
       words_per_round_trip
 
+(* With the default config (trace capacity 1_000_000) building a testbed
+   costs kilobytes: the trace ring grows with the traffic instead of being
+   allocated at capacity up front. *)
+let create_bytes_bound = 65536.0
+
+let test_create_allocation () =
+  let specs =
+    [
+      ("node1", Vw_net.Mac.of_int 1, Vw_net.Ip_addr.of_host_index 1);
+      ("node2", Vw_net.Mac.of_int 2, Vw_net.Ip_addr.of_host_index 2);
+    ]
+  in
+  Gc.full_major ();
+  let b0 = Gc.allocated_bytes () in
+  let testbed = Testbed.create specs in
+  let bytes = Gc.allocated_bytes () -. b0 in
+  ignore (Sys.opaque_identity testbed);
+  if bytes > create_bytes_bound then
+    Alcotest.failf "Testbed.create allocated %.0f bytes (bound %.0f)" bytes
+      create_bytes_bound
+
 let suite =
   [
     ( "integration.figure5",
@@ -396,5 +417,7 @@ let suite =
       [
         Alcotest.test_case "echo round trip allocation bound" `Quick
           test_echo_round_trip_allocation;
+        Alcotest.test_case "testbed create allocation bound" `Quick
+          test_create_allocation;
       ] );
   ]

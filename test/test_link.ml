@@ -182,7 +182,7 @@ let test_link_down_mid_transmission () =
 
 let bus_config =
   {
-    Bus.bandwidth_bps = 100e6;
+    Link.bandwidth_bps = 100e6;
     propagation = Simtime.us 5;
     loss_rate = 0.0;
     corrupt_rate = 0.0;
@@ -238,6 +238,71 @@ let test_bus_collision_in_vulnerable_window () =
     || (Bus.stats bus).Media_stats.delivered = 2);
   check Alcotest.int "both eventually delivered" 2 !arrivals
 
+(* Every copy is lost: a shared segment draws loss once per receiver. *)
+let test_bus_loss () =
+  let engine = Engine.create () in
+  let bus = Bus.create engine { bus_config with loss_rate = 1.0 } ~n:3 in
+  let got = ref 0 in
+  for i = 0 to 2 do
+    Bus.set_receive (Bus.endpoint bus i) (fun _ -> incr got)
+  done;
+  for _ = 1 to 5 do
+    Bus.send (Bus.endpoint bus 0) (frame_of_size 100)
+  done;
+  Engine.run engine;
+  let stats = Bus.stats bus in
+  check Alcotest.int "nothing arrives" 0 !got;
+  check Alcotest.int "nothing delivered" 0 stats.Media_stats.delivered;
+  check Alcotest.int "sends x receivers lost" (5 * 2) stats.Media_stats.dropped_loss
+
+(* Every copy is corrupted, each on its own draw, and counted. *)
+let test_bus_corruption () =
+  let engine = Engine.create () in
+  let bus = Bus.create engine { bus_config with corrupt_rate = 1.0 } ~n:3 in
+  let original = frame_of_size 100 in
+  let got = ref 0 and intact = ref 0 in
+  for i = 0 to 2 do
+    Bus.set_receive (Bus.endpoint bus i) (fun data ->
+        incr got;
+        if Bytes.equal data original then incr intact)
+  done;
+  for _ = 1 to 5 do
+    Bus.send (Bus.endpoint bus 0) (Bytes.copy original)
+  done;
+  Engine.run engine;
+  let stats = Bus.stats bus in
+  check Alcotest.int "every copy arrives" (5 * 2) !got;
+  check Alcotest.int "no copy intact" 0 !intact;
+  check Alcotest.int "corrupted = delivered" stats.Media_stats.delivered
+    stats.Media_stats.corrupted
+
+(* Propagation (100 s) far beyond the longest backoff (~52 ms) and a 0.8 s
+   frame: every retry lands in the vulnerable window, so the two stations
+   collide in lockstep until each head gives up after 16 attempts, then do
+   the same with their second frame. The end time pins the schedule: it
+   moves if a new head inherits the attempts of the one before it. *)
+let test_bus_always_colliding () =
+  let engine = Engine.create ~seed:7 () in
+  let config =
+    { bus_config with bandwidth_bps = 1e3; propagation = Simtime.sec 100.0 }
+  in
+  let bus = Bus.create engine config ~n:2 in
+  let got = ref 0 in
+  for i = 0 to 1 do
+    Bus.set_receive (Bus.endpoint bus i) (fun _ -> incr got)
+  done;
+  for i = 0 to 1 do
+    for _ = 1 to 2 do
+      Bus.send (Bus.endpoint bus i) (frame_of_size 100)
+    done
+  done;
+  Engine.run engine;
+  let stats = Bus.stats bus in
+  check Alcotest.int "nothing arrives" 0 !got;
+  check Alcotest.int "nothing delivered" 0 stats.Media_stats.delivered;
+  check Alcotest.int "all four given up" 4 stats.Media_stats.dropped_collision;
+  check Alcotest.int "end time" 478_361_630 (Engine.now engine)
+
 (* --- switch --- *)
 
 let mac i = Vw_net.Mac.of_int i
@@ -247,7 +312,7 @@ let eth_frame ~src ~dst =
     (Vw_net.Eth.make ~dst ~src ~ethertype:0x0800 (Bytes.create 10))
 
 let star engine n =
-  let sw = Switch.create engine () in
+  let sw = Switch.create engine in
   let eps =
     Array.init n (fun _ ->
         let l = Link.create engine (full_duplex ()) in
@@ -340,6 +405,10 @@ let suite =
       [
         Alcotest.test_case "broadcast semantics" `Quick test_bus_broadcast_semantics;
         Alcotest.test_case "carrier sense defers" `Quick test_bus_defers_when_carrier_sensed;
+        Alcotest.test_case "loss per receiver" `Quick test_bus_loss;
+        Alcotest.test_case "corruption per receiver" `Quick test_bus_corruption;
+        Alcotest.test_case "always colliding gives up" `Quick
+          test_bus_always_colliding;
         Alcotest.test_case "collision + recovery" `Quick
           test_bus_collision_in_vulnerable_window;
       ] );

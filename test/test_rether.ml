@@ -21,7 +21,7 @@ type ring_world = {
 (* N hosts on one switch, Rether on each. *)
 let ring_world ?(n = 4) ?(gate_traffic = false) ?config () =
   let engine = Engine.create () in
-  let switch = Vw_link.Switch.create engine () in
+  let switch = Vw_link.Switch.create engine in
   let hosts =
     Array.init n (fun i ->
         let h =
@@ -229,7 +229,7 @@ let is_rt_frame (frame : Vw_net.Eth.t) =
 
 let rt_world ?(reservation = 0) () =
   let engine = Engine.create () in
-  let switch = Vw_link.Switch.create engine () in
+  let switch = Vw_link.Switch.create engine in
   let hosts =
     Array.init 3 (fun i ->
         let h =

@@ -148,7 +148,7 @@ let prop_bus_never_wedges =
       let bus =
         Vw_link.Bus.create engine
           {
-            Vw_link.Bus.bandwidth_bps = 100e6;
+            Vw_link.Link.bandwidth_bps = 100e6;
             propagation = Simtime.ns 500;
             loss_rate = 0.0;
             corrupt_rate = 0.0;

@@ -202,23 +202,47 @@ let test_worklist_get () =
 
 (* --- Ring --- *)
 
-(* FIFO across growth and wrap-around, against a Queue model. *)
+(* FIFO across growth, wrap-around and clear, against a Queue model;
+   [iter] visits the same elements in the same order. *)
+type ring_op = Add of int | Take | Clear
+
 let prop_ring_is_fifo =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (12, map (fun x -> Add x) small_nat);
+          (7, return Take);
+          (1, return Clear);
+        ])
+  in
   QCheck.Test.make ~name:"ring == Queue" ~count:300
-    QCheck.(list_of_size (Gen.int_range 0 120) (option small_nat))
+    QCheck.(make Gen.(list_size (int_range 0 120) op))
     (fun ops ->
       let r = Vw_util.Ring.create ~dummy:(-1) and q = Queue.create () in
+      let same_elements () =
+        let seen = ref [] in
+        Vw_util.Ring.iter r (fun x -> seen := x :: !seen);
+        List.rev !seen = List.of_seq (Queue.to_seq q)
+      in
       List.for_all
-        (function
-          | Some x ->
+        (fun op ->
+          (match op with
+          | Add x ->
               Vw_util.Ring.add r x;
               Queue.add x q;
-              Vw_util.Ring.length r = Queue.length q
-          | None ->
+              true
+          | Take ->
               if Queue.is_empty q then Vw_util.Ring.is_empty r
               else
                 Vw_util.Ring.peek r = Queue.peek q
-                && Vw_util.Ring.take r = Queue.pop q)
+                && Vw_util.Ring.take r = Queue.pop q
+          | Clear ->
+              Vw_util.Ring.clear r;
+              Queue.clear q;
+              Vw_util.Ring.is_empty r)
+          && Vw_util.Ring.length r = Queue.length q
+          && same_elements ())
         ops)
 
 let test_ring_empty_raises () =
